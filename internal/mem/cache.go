@@ -47,6 +47,14 @@ type Cache struct {
 	stamps []uint64
 	clock  uint64
 	stats  Stats
+	// flushes counts Flush calls, so a clock that Flush reset and
+	// accesses then brought back to an old value still reads as changed.
+	flushes uint64
+	// dirty has one bit per set, set by every access to the set and
+	// cleared when FFSnapshot re-encodes it (see ffwd.go).
+	dirty []uint64
+	// ff is the snapshot log, built at the first FFSnapshot.
+	ff *setLog
 }
 
 // New builds a cache from cfg, validating its geometry.
@@ -76,6 +84,7 @@ func New(cfg Config) (*Cache, error) {
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, sets*cfg.Ways),
 		stamps:    make([]uint64, sets*cfg.Ways),
+		dirty:     make([]uint64, (sets+63)/64),
 	}, nil
 }
 
@@ -105,6 +114,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
+	c.dirty[set>>6] |= 1 << (set & 63)
 	base := set * c.cfg.Ways
 	victim := base
 	victimStamp := ^uint64(0)
@@ -145,7 +155,11 @@ func (c *Cache) Flush() {
 	for i := range c.stamps {
 		c.stamps[i] = 0
 	}
+	for set := 0; set < c.sets; set++ {
+		c.dirty[set>>6] |= 1 << (set & 63)
+	}
 	c.clock = 0
+	c.flushes++
 	c.stats = Stats{}
 }
 

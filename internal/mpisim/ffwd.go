@@ -3,6 +3,7 @@ package mpisim
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 
 	"repro/internal/workload"
 )
@@ -34,7 +35,13 @@ import (
 // behavior is provably periodic:
 //
 //   - the machine norm matches byte for byte (streams, pipeline rings,
-//     predictor, caches as recency orders, kernel preemption state);
+//     predictor, kernel preemption state);
+//   - every cache set is in the same recency order: the caches log which
+//     sets changed between anchors, and Machine.FFCachesSame checks
+//     that each set changed since the matched anchor is back to its
+//     order there (see internal/mem/ffwd.go) — the same answer a byte
+//     compare of whole-cache encodings would give, at the cost of the
+//     sets an iteration touches;
 //   - the runtime norm matches (finished/in-compute flags, pending
 //     exchanges and their readable arrival suffix relative to now,
 //     barrier membership, per-rank trace states);
@@ -65,11 +72,14 @@ import (
 // length is odd visits M distinct cycle residues before anchors become
 // congruent again, so the cap leaves room for a full residue orbit plus
 // warm-up drift.  Mismatches are rejected by an 8-byte hash compare, so
-// a deep history costs memory (≤ cap · norm size), not scan time.
+// a deep history costs memory (≤ cap · norm size, plus the caches'
+// change log over the same anchors), not scan time.
 const ffHistCap = 80
 
-// ffSnap is one anchor snapshot.
+// ffSnap is one anchor snapshot.  The caches are not in norm: they
+// record their own state as snapshot anchor (Machine.FFCacheSnapshot).
 type ffSnap struct {
+	anchor    int64
 	cycle     int64
 	hash      uint64
 	norm      []byte
@@ -84,6 +94,8 @@ type ffSnap struct {
 type ffEngine struct {
 	hist    []ffSnap
 	scratch []byte
+	// anchors numbers the anchors seen, naming the cache snapshots.
+	anchors int64
 	// skips counts applied skips; windows and cycles total what they
 	// covered (exposed as Result.SkippedCycles).
 	skips   int
@@ -91,13 +103,20 @@ type ffEngine struct {
 	cycles  int64
 }
 
+// ffHash pre-filters history matches before the byte compare, so any
+// decent mix will do; it reads the norm 8 bytes at a time.
 func ffHash(b []byte) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * prime64
+	const k1, k2 = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
+	h := uint64(len(b)) * k1
+	for ; len(b) >= 8; b = b[8:] {
+		h = bits.RotateLeft64(h^binary.LittleEndian.Uint64(b)*k2, 31) * k1
 	}
-	return h
+	var tail [8]byte
+	copy(tail[:], b)
+	h ^= binary.LittleEndian.Uint64(tail[:]) * k2
+	h ^= h >> 32
+	h *= k1
+	return h ^ h>>29
 }
 
 // ffNorm appends the full normalized system state: machine first, then
@@ -173,6 +192,7 @@ func (rt *runtime) ffNorm(b []byte) ([]byte, bool) {
 // be the current ffNorm output.
 func (rt *runtime) ffSnapshot(norm []byte, hash uint64) ffSnap {
 	s := ffSnap{
+		anchor:    rt.ff.anchors,
 		cycle:     rt.mach.Cycle(),
 		hash:      hash,
 		norm:      append([]byte(nil), norm...),
@@ -200,10 +220,12 @@ func (rt *runtime) ffOnAnchor() {
 		rt.ff = nil
 		return
 	}
-	h := ffHash(norm)
+	e.anchors++
+	h := ffHash(norm) ^ rt.mach.FFCacheSnapshot(e.anchors)
 	for i := len(e.hist) - 1; i >= 0; i-- {
-		if e.hist[i].hash == h && bytes.Equal(e.hist[i].norm, norm) {
-			rt.ffApply(&e.hist[i])
+		hs := &e.hist[i]
+		if hs.hash == h && bytes.Equal(hs.norm, norm) && rt.mach.FFCachesSame(hs.anchor, e.anchors) {
+			rt.ffApply(hs)
 			break
 		}
 	}
@@ -214,6 +236,7 @@ func (rt *runtime) ffOnAnchor() {
 	} else {
 		e.hist = append(e.hist, snap)
 	}
+	rt.mach.FFCacheTrim(e.hist[0].anchor)
 }
 
 // ffWindows returns how many extra repetitions of the window ending now

@@ -481,7 +481,9 @@ func RunCtx(ctx context.Context, job *Job, pl Placement, cfg Config) (*Result, e
 
 // warmCaches touches each rank's working sets (compute loads and its spin
 // loop's progress-engine footprint) into the hierarchy, bounded per load
-// so that deliberately cache-busting kernels (Mem) still miss.
+// so that deliberately cache-busting kernels (Mem) still miss.  A rank
+// repeats one working set in every compute phase of an iterative
+// program; the hierarchy skips the repeats that would change nothing.
 func (rt *runtime) warmCaches() {
 	const warmCap = 1 << 20 // bytes per load
 	const line = 128
@@ -496,9 +498,7 @@ func (rt *runtime) warmCaches() {
 			if fp > warmCap {
 				fp = warmCap
 			}
-			for off := int64(0); off < fp; off += line {
-				rt.mach.TouchMemory(core, base+uint64(off))
-			}
+			rt.mach.TouchRange(core, base, fp, line)
 		}
 		for _, ph := range rs.program {
 			if ph.Kind == PhaseCompute {

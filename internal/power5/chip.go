@@ -276,13 +276,15 @@ func (ch *Chip) WriteTSR(coreID, thread int, t hwpri.TSR) bool {
 	return true
 }
 
-// TouchMemory brings addr into core's cache hierarchy without consuming
-// simulated time.  Runtimes use it to pre-warm working sets before the
-// traced region: the paper measures steady-state applications whose
-// footprints have long been resident, and at the reproduction's reduced
-// workload scale a cold first pass would otherwise dominate the run.
-func (ch *Chip) TouchMemory(coreID int, addr uint64) {
-	ch.hier.LoadLatency(coreID, addr)
+// TouchRange brings every stride-th byte of [base, base+size) into
+// core's cache hierarchy without consuming simulated time, skipping a
+// pass that provably changes nothing (see mem.Hierarchy.TouchRange).
+// Runtimes use it to pre-warm working sets before the traced region:
+// the paper measures steady-state applications whose footprints have
+// long been resident, and at the reproduction's reduced workload scale
+// a cold first pass would otherwise dominate the run.
+func (ch *Chip) TouchRange(coreID int, base uint64, size, stride int64) {
+	ch.hier.TouchRange(coreID, base, size, stride)
 }
 
 // Stats returns a snapshot of a context's counters.

@@ -7,12 +7,16 @@ import (
 )
 
 // Fast-forward state capture for the phase-skip engine
-// (internal/mpisim).  FFNorm appends the chip's normalized state — two
-// equal norms guarantee identical future behavior — FFCtrs appends the
-// extensive counters that keep growing while the norm recurs, and
-// FFAdvance applies k windows of counter deltas while shifting every
-// absolute-cycle field by dt.  The three walks MUST visit fields in the
-// same order; see isa.FastForwarder for the full contract.
+// (internal/mpisim).  FFNorm appends the chip's normalized state except
+// the caches — two equal norms and equal cache states guarantee
+// identical future behavior — FFCtrs appends the extensive counters
+// that keep growing while the norm recurs, and FFAdvance applies k
+// windows of counter deltas while shifting every absolute-cycle field
+// by dt.  The three walks MUST visit fields in the same order; see
+// isa.FastForwarder for the full contract.  The caches are compared
+// incrementally instead of through the norm: FFCacheSnapshot,
+// FFCachesSame and FFCacheTrim expose the hierarchy's snapshot log
+// (see internal/mem/ffwd.go).
 //
 // Normalization notes (the non-obvious choices):
 //
@@ -47,9 +51,10 @@ func ffRel(now, at int64) uint64 {
 	return 0
 }
 
-// FFNorm appends the chip's normalized state.  It reports false when an
-// installed stream does not support fast-forwarding, in which case the
-// caller must fall back to exact execution.
+// FFNorm appends the chip's normalized state, caches excluded.  It
+// reports false when an installed stream does not support
+// fast-forwarding, in which case the caller must fall back to exact
+// execution.
 //
 // The cycle counter is captured modulo ffMaxPeriod, the largest
 // decode-allocation period the chip has actually consulted in a
@@ -125,7 +130,7 @@ func (ch *Chip) FFNorm(b []byte) ([]byte, bool) {
 			}
 		}
 	}
-	return ch.hier.FFNorm(b), true
+	return b, true
 }
 
 // FFCtrs appends the chip's extensive counters, mirroring FFNorm's walk.
@@ -199,8 +204,9 @@ func (ch *Chip) FFAdvance(k, dt int64, d []int64) []int64 {
 	return d
 }
 
-// FFNorm appends the machine's normalized state (all chips, in order);
-// false means some stream does not support fast-forwarding.
+// FFNorm appends the machine's normalized state (all chips, in order,
+// caches excluded); false means some stream does not support
+// fast-forwarding.
 func (m *Machine) FFNorm(b []byte) ([]byte, bool) {
 	ok := true
 	for _, ch := range m.chips {
@@ -209,6 +215,35 @@ func (m *Machine) FFNorm(b []byte) ([]byte, bool) {
 		}
 	}
 	return b, true
+}
+
+// FFCacheSnapshot records every chip's cache state as snapshot anchor
+// (increasing from call to call) and returns a hash of it.
+func (m *Machine) FFCacheSnapshot(anchor int64) uint64 {
+	var x uint64
+	for _, ch := range m.chips {
+		x = x*0x9e3779b97f4a7c15 ^ ch.hier.FFSnapshot(anchor)
+	}
+	return x
+}
+
+// FFCachesSame reports whether every chip's cache state at snapshot a
+// equals its state at snapshot b.
+func (m *Machine) FFCachesSame(a, b int64) bool {
+	for _, ch := range m.chips {
+		if !ch.hier.FFSame(a, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// FFCacheTrim lets the caches forget what only snapshots older than a
+// could need.
+func (m *Machine) FFCacheTrim(a int64) {
+	for _, ch := range m.chips {
+		ch.hier.FFTrim(a)
+	}
 }
 
 // FFCtrs appends the machine's extensive counters.

@@ -294,11 +294,11 @@ func (m *Machine) Stats(globalCore, thread int) ContextStats {
 	return ch.Stats(c, thread)
 }
 
-// TouchMemory brings addr into the global core's chip-local cache
-// hierarchy without consuming simulated time (see Chip.TouchMemory).
-func (m *Machine) TouchMemory(globalCore int, addr uint64) {
+// TouchRange touches a range into the global core's chip-local cache
+// hierarchy without consuming simulated time (see Chip.TouchRange).
+func (m *Machine) TouchRange(globalCore int, base uint64, size, stride int64) {
 	ch, c := m.route(globalCore)
-	ch.TouchMemory(c, addr)
+	ch.TouchRange(c, base, size, stride)
 }
 
 // Hierarchy returns chip i's memory hierarchy (for statistics).

@@ -151,9 +151,7 @@ func TestMachineHierarchyIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := uint64(0); off < 1<<16; off += 128 {
-		m.TouchMemory(0, off)
-	}
+	m.TouchRange(0, 0, 1<<16, 128)
 	if got := m.Hierarchy(0).L2().Stats().Misses; got == 0 {
 		t.Fatal("chip 0 L2 saw no traffic")
 	}
