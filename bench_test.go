@@ -10,8 +10,6 @@
 // functions; a failed shape fails the benchmark.
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
 	"bytes"
 	"context"
@@ -235,7 +233,7 @@ func BenchmarkCacheWarmupAblation(b *testing.B) {
 			var res *Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = Run(job, PinInOrder(4), &Options{NoOSNoise: true, ColdCaches: cold})
+				res, err = runWith(job, PinInOrder(4), &Options{NoOSNoise: true, ColdCaches: cold})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -346,7 +344,9 @@ func BenchmarkCacheHitSpeedup(b *testing.B) {
 // must agree byte for byte — including the serialized trace — and the
 // fast path must be at least 5x faster; the benchmark fails otherwise,
 // so CI's bench smoke run guards both the speedup and the identity.
-// Record with the README recipe into BENCH_simcore_baseline.json.
+// The end-to-end effect is recorded by `bash perfbench/run.sh
+// --workload sweep-phaseskip` (sim_mcycles_per_s; with --trace 1 also
+// mpisim.skip_frac and mpisim.skipped_cycles).
 func BenchmarkPhaseSkipSpeedup(b *testing.B) {
 	// Table V BT-MZ zone loads (P1..P4 = 18/24/67/100% of the heaviest),
 	// ring exchanges each iteration and a closing barrier, iterated long
@@ -369,7 +369,7 @@ func BenchmarkPhaseSkipSpeedup(b *testing.B) {
 	// runSim, not Machine.Run: the result cache keys both execution modes
 	// together, so cached replies would make the comparison vacuous.
 	run := func(o *Options) *Result {
-		res, err := runSim(ctx, job, pl, o, nil)
+		res, err := runSim(ctx, job, pl, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -459,7 +459,9 @@ func BenchmarkPolicyOverhead(b *testing.B) {
 	runOnce := func(b *testing.B, pol Policy) *Result {
 		// runSim, not Machine.Run: the result cache would otherwise turn
 		// every timed run after the first into a map lookup.
-		res, err := runSim(ctx, job, pl, opts, pol)
+		o := *opts
+		o.Policy = pol
+		res, err := runSim(ctx, job, pl, &o)
 		if err != nil {
 			b.Fatal(err)
 		}

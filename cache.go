@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/diskcache"
 	"repro/internal/mpisim"
-	"repro/internal/sweep"
 )
 
 // cacheKeyVersion names the canonical cache-key format.  It is hashed
@@ -61,17 +60,16 @@ func (h *hasher) str(s string) {
 // directives on Options and the hashers; see docs/lint.md).
 //   - Topology: hashed (three dimensions, normalized).
 //   - VanillaKernel, NoOSNoise, ColdCaches: hashed.
-//   - Policy / DynamicBalance / MaxPriorityDiff: all three resolve to
-//     one policy value (resolvePolicy), hashed structurally — the name
-//     and every parameter key/value length-prefixed, keys sorted — so
-//     the deprecated knobs and their Policy spelling share entries,
-//     while distinct policies or parameters can never collide, even for
-//     custom policies whose Name/Params contain the rendered PolicyID
-//     grammar's delimiters.
+//   - Policy: hashed structurally — the name and every parameter
+//     key/value length-prefixed, keys sorted — so distinct policies or
+//     parameters can never collide, even for custom policies whose
+//     Name/Params contain the rendered PolicyID grammar's delimiters.
+//     Machine.RunPolicy and policy-axis sweeps hash the policy they run
+//     by setting it on a copy of the machine's options.
 //   - MaxCycles: hashed.
 //   - OnIteration: not hashed — its presence disables caching entirely
-//     (Machine.Run), as does a policy that cannot be re-bound per run
-//     (policyCacheable).
+//     (Machine.RunPolicy), as does a policy that cannot be re-bound per
+//     run (policyCacheable).
 //   - LoadDrift: not hashed — like OnIteration its presence disables
 //     caching entirely (an arbitrary function cannot be hashed, and the
 //     loads it produces are not in the job).
@@ -94,17 +92,17 @@ func (h *hasher) str(s string) {
 // tests depend on exactly that).
 //
 //mtlint:cachekey-hasher run
-func envJobKey(topo Topology, opts Options, pol Policy, job Job) [sha256.Size]byte {
+func envJobKey(opts Options, job Job) [sha256.Size]byte {
 	var h hasher
 	h.str(cacheKeyVersion)
-	topo = topo.normalized()
+	topo := opts.Topology.normalized()
 	h.i64(int64(topo.Chips))
 	h.i64(int64(topo.CoresPerChip))
 	h.i64(int64(topo.SMTWays))
 	h.bool(opts.VanillaKernel)
 	h.bool(opts.NoOSNoise)
 	h.bool(opts.ColdCaches)
-	if pol == nil {
+	if pol := opts.Policy; pol == nil {
 		h.tag(0)
 	} else {
 		h.tag(1)
@@ -152,40 +150,16 @@ func envJobKey(topo Topology, opts Options, pol Policy, job Job) [sha256.Size]by
 
 // placementKey extends an environment+job hash with a concrete placement,
 // yielding the full cache key of one run.
-func placementKey(base [sha256.Size]byte, cpu []int, prio []int) cacheKey {
+func placementKey(base [sha256.Size]byte, pl Placement) cacheKey {
 	var h hasher
 	h.buf = append(h.buf, base[:]...)
 	h.tag('P')
-	h.i64(int64(len(cpu)))
-	for _, c := range cpu {
+	h.i64(int64(len(pl.CPU)))
+	for _, c := range pl.CPU {
 		h.i64(int64(c))
 	}
-	for _, p := range prio {
+	for _, p := range pl.Priority {
 		h.i64(int64(p))
-	}
-	return sha256.Sum256(h.buf)
-}
-
-// matrixCellKey hashes one evaluation-matrix cell — the topology, the
-// scenario identity and the ordered policy identities — the
-// scenario-aware key under which a Matrix engine memoizes whole cells.
-// Scenario and policy IDs are canonical (equal ID ⇒ equal behavior), so
-// hashing the rendered IDs length-prefixed is collision-free for the
-// same reason envJobKey's structural policy hash is.
-//
-//mtlint:cachekey-hasher matrix
-func matrixCellKey(topo Topology, scenarioID string, policyIDs []string) cacheKey {
-	var h hasher
-	h.tag('M')
-	h.tag('1')
-	topo = topo.normalized()
-	h.i64(int64(topo.Chips))
-	h.i64(int64(topo.CoresPerChip))
-	h.i64(int64(topo.SMTWays))
-	h.str(scenarioID)
-	h.i64(int64(len(policyIDs)))
-	for _, id := range policyIDs {
-		h.str(id)
 	}
 	return sha256.Sum256(h.buf)
 }
@@ -215,26 +189,23 @@ type CacheStats struct {
 	Metrics int `json:"metrics"`
 }
 
-// keyRing is a bounded FIFO of cache keys backed by a circular buffer.
-// Eviction pops the head in place; the old `order = order[1:]` re-slice
-// kept every evicted key's slot reachable from the backing array, so a
-// long-running server's eviction order grew without bound even though
-// the map stayed capped.
-type keyRing struct {
-	buf  []cacheKey
+// keyRing is a bounded FIFO of keys backed by a circular buffer.
+// Eviction pops the head in place; an `order = order[1:]` re-slice
+// would keep every evicted key's slot reachable from the backing array,
+// so a long-running server's eviction order would grow without bound
+// even though its map stayed capped.
+type keyRing[K comparable] struct {
+	buf  []K
 	head int // index of the oldest element
 	n    int // live element count
 }
 
-// len returns the number of queued keys.
-func (r *keyRing) len() int { return r.n }
-
 // push appends k, growing the buffer geometrically; an owner that only
 // pushes after evicting at its cap keeps the buffer at most one
 // doubling past that cap forever.
-func (r *keyRing) push(k cacheKey) {
+func (r *keyRing[K]) push(k K) {
 	if r.n == len(r.buf) {
-		grown := make([]cacheKey, max(16, 2*len(r.buf)))
+		grown := make([]K, max(16, 2*len(r.buf)))
 		for i := 0; i < r.n; i++ {
 			grown[i] = r.buf[(r.head+i)%len(r.buf)]
 		}
@@ -245,28 +216,83 @@ func (r *keyRing) push(k cacheKey) {
 }
 
 // pop removes and returns the oldest key, zeroing its slot for reuse.
-func (r *keyRing) pop() cacheKey {
+func (r *keyRing[K]) pop() K {
 	if r.n == 0 {
 		panic("smtbalance: pop from empty key ring")
 	}
+	var zero K
 	k := r.buf[r.head]
-	r.buf[r.head] = cacheKey{}
+	r.buf[r.head] = zero
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return k
 }
 
-// resultCache is the Machine's deterministic result store.  It has two
-// layers keyed by the same canonical hash: full Results (with traces)
-// for Machine.Run, and lightweight sweep metrics for the many points a
-// sweep evaluates.  Both layers are bounded with FIFO eviction — the
-// simulator is pure, so eviction only costs a re-run, never correctness.
-//
-// Two optional tiers extend it: a flightGroup per layer coalesces
-// identical in-flight computations (Machine.runPolicy and the sweep
-// RunFn orchestrate join/publish), and a content-addressed disk store
-// (Machine.UseDiskCache) persists records across restarts and shares
-// them between replicas pointed at one directory.
+// fifoMap is a map bounded to cap entries with first-in, first-out
+// eviction — the one container behind both result-cache layers and the
+// Matrix engine's machine set.  Everything it holds is recomputable, so
+// eviction only ever costs a re-run.  It is not synchronized: its owner
+// locks.  The zero value with cap set is ready to use.
+type fifoMap[K comparable, V any] struct {
+	m     map[K]V
+	order keyRing[K]
+	cap   int
+}
+
+func (f *fifoMap[K, V]) get(k K) (V, bool) {
+	v, ok := f.m[k]
+	return v, ok
+}
+
+// put stores v under k, evicting the oldest entry at the cap; a key
+// already present keeps its first value.
+func (f *fifoMap[K, V]) put(k K, v V) {
+	if _, ok := f.m[k]; ok {
+		return
+	}
+	if f.m == nil {
+		f.m = make(map[K]V)
+	}
+	if len(f.m) >= f.cap {
+		delete(f.m, f.order.pop())
+	}
+	f.m[k] = v
+	f.order.push(k)
+}
+
+func (f *fifoMap[K, V]) len() int { return len(f.m) }
+
+// clear drops every entry.
+func (f *fifoMap[K, V]) clear() { f.m, f.order = nil, keyRing[K]{} }
+
+// slot names one stored outcome: a configuration's cache key and
+// whether the outcome is a full Result (trace included, what Run
+// returns) or only the metrics a sweep point keeps.  The two kinds of
+// the same configuration are stored, coalesced and persisted apart, so
+// a Run is never answered by a metrics-only outcome.
+type slot struct {
+	key  cacheKey
+	full bool
+}
+
+// diskKey renders the slot as the disk store's content address, the
+// record kind ("run" or "met") suffixed to the hex key.
+func (s slot) diskKey() string {
+	kind := "met"
+	if s.full {
+		kind = "run"
+	}
+	return hex.EncodeToString(s.key[:]) + "-" + kind
+}
+
+// resultCache is the Machine's deterministic outcome store, keyed by
+// slot: full Results for Run and metrics-only Results for the many
+// points a sweep evaluates, each in its own bounded FIFO layer.  A
+// flightGroup coalesces identical in-flight evaluations, and an
+// optional content-addressed disk store (Machine.UseDiskCache) persists
+// records across restarts and shares them between replicas pointed at
+// one directory.  Machine.evaluate is the one place that walks the
+// tiers.
 type resultCache struct {
 	mu           sync.Mutex
 	hits, misses int64 //mtlint:guardedby mu
@@ -274,21 +300,14 @@ type resultCache struct {
 	diskHits     int64 //mtlint:guardedby mu
 	diskWrites   int64 //mtlint:guardedby mu
 
-	runs     map[cacheKey]*Result //mtlint:guardedby mu
-	runOrder keyRing              //mtlint:guardedby mu
-	runCap   int                  //mtlint:unguarded fixed at construction, read-only afterwards
-
-	mets     map[cacheKey]sweep.Metrics //mtlint:guardedby mu
-	metOrder keyRing                    //mtlint:guardedby mu
-	metCap   int                        //mtlint:unguarded fixed at construction, read-only afterwards
+	runs fifoMap[cacheKey, *Result] //mtlint:guardedby mu
+	mets fifoMap[cacheKey, *Result] //mtlint:guardedby mu
 
 	// disk is nil without a disk tier.
 	disk *diskcache.Store //mtlint:guardedby mu
 
 	//mtlint:unguarded flightGroup synchronizes itself; leaders publish outside c.mu
-	runFlights flightGroup[*Result]
-	//mtlint:unguarded flightGroup synchronizes itself; leaders publish outside c.mu
-	metFlights flightGroup[sweep.Metrics]
+	flights flightGroup[*Result]
 }
 
 // Default cache bounds: full results carry traces (tens of KB each),
@@ -301,70 +320,45 @@ const (
 
 func newResultCache() *resultCache {
 	return &resultCache{
-		runs:   make(map[cacheKey]*Result),
-		runCap: defaultRunCacheCap,
-		mets:   make(map[cacheKey]sweep.Metrics),
-		metCap: defaultMetricCacheCap,
+		runs: fifoMap[cacheKey, *Result]{cap: defaultRunCacheCap},
+		mets: fifoMap[cacheKey, *Result]{cap: defaultMetricCacheCap},
 	}
 }
 
-func (c *resultCache) getRun(k cacheKey) (*Result, bool) {
+// get looks the slot up in memory, counting the hit or miss, and
+// returns a private copy.
+func (c *resultCache) get(s slot) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, ok := c.runs[k]
-	if ok {
-		c.hits++
-		return res.clone(), true
+	layer := &c.mets
+	if s.full {
+		layer = &c.runs
 	}
-	c.misses++
-	return nil, false
-}
-
-func (c *resultCache) putRun(k cacheKey, res *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.runs[k]; ok {
-		return
-	}
-	if len(c.runs) >= c.runCap {
-		delete(c.runs, c.runOrder.pop())
-	}
-	c.runs[k] = res.clone()
-	c.runOrder.push(k)
-}
-
-func (c *resultCache) getMetrics(k cacheKey) (sweep.Metrics, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	met, ok := c.mets[k]
-	if ok {
-		c.hits++
-	} else {
+	res, ok := layer.get(s.key)
+	if !ok {
 		c.misses++
+		return nil, false
 	}
-	return met, ok
+	c.hits++
+	return res.clone(), true
 }
 
-func (c *resultCache) putMetrics(k cacheKey, met sweep.Metrics) {
+// put stores a private copy of the slot's outcome.
+func (c *resultCache) put(s slot, res *Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.mets[k]; ok {
-		return
+	layer := &c.mets
+	if s.full {
+		layer = &c.runs
 	}
-	if len(c.mets) >= c.metCap {
-		delete(c.mets, c.metOrder.pop())
-	}
-	c.mets[k] = met
-	c.metOrder.push(k)
+	layer.put(s.key, res.clone())
 }
 
 func (c *resultCache) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.runs = make(map[cacheKey]*Result)
-	c.runOrder = keyRing{}
-	c.mets = make(map[cacheKey]sweep.Metrics)
-	c.metOrder = keyRing{}
+	c.runs.clear()
+	c.mets.clear()
 }
 
 func (c *resultCache) stats() CacheStats {
@@ -373,7 +367,7 @@ func (c *resultCache) stats() CacheStats {
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses,
 		Coalesced: c.coalesced, DiskHits: c.diskHits, DiskWrites: c.diskWrites,
-		Results: len(c.runs), Metrics: len(c.mets),
+		Results: c.runs.len(), Metrics: c.mets.len(),
 	}
 }
 
@@ -398,26 +392,19 @@ func (c *resultCache) diskStore() *diskcache.Store {
 	return c.disk
 }
 
-// diskKey renders a cache key as the disk store's content address.  The
-// record kind ("run" or "met") is part of the address: both layers hash
-// the same configuration to the same bytes, but their records differ.
-func diskKey(k cacheKey, kind string) string {
-	return hex.EncodeToString(k[:]) + "-" + kind
-}
-
-// getRunDisk revives a full result from the disk tier.  All failures —
+// getDisk revives the slot's outcome from the disk tier.  All failures —
 // no tier, absent record, IO error, corrupt record — degrade to a miss;
 // the disk can slow a cold start down, never break a request.
-func (c *resultCache) getRunDisk(k cacheKey) (*Result, bool) {
+func (c *resultCache) getDisk(s slot) (*Result, bool) {
 	store := c.diskStore()
 	if store == nil {
 		return nil, false
 	}
-	data, ok, err := store.Get(diskKey(k, "run"))
+	data, ok, err := store.Get(s.diskKey())
 	if err != nil || !ok {
 		return nil, false
 	}
-	res, err := decodeResult(data)
+	res, err := decodeResult(data, s.full)
 	if err != nil {
 		return nil, false
 	}
@@ -427,51 +414,17 @@ func (c *resultCache) getRunDisk(k cacheKey) (*Result, bool) {
 	return res, true
 }
 
-// putRunDisk persists a full result, best-effort.
-func (c *resultCache) putRunDisk(k cacheKey, res *Result) {
+// putDisk persists the slot's outcome, best-effort.
+func (c *resultCache) putDisk(s slot, res *Result) {
 	store := c.diskStore()
 	if store == nil {
 		return
 	}
-	data, ok := encodeResult(res)
+	data, ok := encodeResult(res, s.full)
 	if !ok {
 		return
 	}
-	if store.Put(diskKey(k, "run"), data) == nil {
-		c.mu.Lock()
-		c.diskWrites++
-		c.mu.Unlock()
-	}
-}
-
-// getMetricsDisk revives a sweep-point metrics record from the disk
-// tier, with the same degrade-to-miss failure handling as getRunDisk.
-func (c *resultCache) getMetricsDisk(k cacheKey) (sweep.Metrics, bool) {
-	store := c.diskStore()
-	if store == nil {
-		return sweep.Metrics{}, false
-	}
-	data, ok, err := store.Get(diskKey(k, "met"))
-	if err != nil || !ok {
-		return sweep.Metrics{}, false
-	}
-	met, err := decodeMetrics(data)
-	if err != nil {
-		return sweep.Metrics{}, false
-	}
-	c.mu.Lock()
-	c.diskHits++
-	c.mu.Unlock()
-	return met, true
-}
-
-// putMetricsDisk persists a sweep-point metrics record, best-effort.
-func (c *resultCache) putMetricsDisk(k cacheKey, met sweep.Metrics) {
-	store := c.diskStore()
-	if store == nil {
-		return
-	}
-	if store.Put(diskKey(k, "met"), encodeMetrics(met)) == nil {
+	if store.Put(s.diskKey(), data) == nil {
 		c.mu.Lock()
 		c.diskWrites++
 		c.mu.Unlock()

@@ -1,6 +1,7 @@
 package smtbalance
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -9,27 +10,25 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
 // TestKeyRingFIFO pins the ring's queue discipline and its growth
 // contract (geometric, reusable slots).
 func TestKeyRingFIFO(t *testing.T) {
-	var r keyRing
+	var r keyRing[cacheKey]
 	for i := 0; i < 100; i++ {
 		r.push(cacheKey{byte(i)})
 	}
-	if r.len() != 100 {
-		t.Fatalf("len = %d, want 100", r.len())
+	if r.n != 100 {
+		t.Fatalf("len = %d, want 100", r.n)
 	}
 	for i := 0; i < 100; i++ {
 		if k := r.pop(); k != (cacheKey{byte(i)}) {
 			t.Fatalf("pop %d returned key %v, not FIFO", i, k[0])
 		}
 	}
-	if r.len() != 0 {
-		t.Errorf("drained ring has len %d", r.len())
+	if r.n != 0 {
+		t.Errorf("drained ring has len %d", r.n)
 	}
 	defer func() {
 		if recover() == nil {
@@ -40,40 +39,70 @@ func TestKeyRingFIFO(t *testing.T) {
 }
 
 // TestRunCacheEvictionBounded is the regression test for the FIFO
-// eviction leak: the old implementation re-sliced its order queue
-// (order = order[1:]), so every evicted key's slot stayed reachable
-// from the backing array and a long-running server's queue grew without
-// bound.  The ring must stay within one doubling of the cap no matter
-// how many entries pass through.
+// eviction leak: an order queue re-sliced on eviction (order =
+// order[1:]) keeps every evicted key's slot reachable from its backing
+// array, so a long-running server's queue grows without bound.  Every
+// bounded store — the generic fifoMap, both result-cache layers and the
+// Matrix engine's machine set — must stay within one doubling of its
+// cap no matter how many entries pass through, and evict oldest first.
 func TestRunCacheEvictionBounded(t *testing.T) {
-	c := newResultCache()
-	c.runCap = 8
-	c.metCap = 8
-	for i := 0; i < 10_000; i++ {
+	keyOf := func(i int) cacheKey {
 		var k cacheKey
 		k[0], k[1], k[2] = byte(i), byte(i>>8), byte(i>>16)
-		c.putRun(k, &Result{Cycles: int64(i)})
-		c.putMetrics(k, sweep.Metrics{Cycles: int64(i)})
+		return k
 	}
-	if got := len(c.runs); got != 8 {
-		t.Errorf("run layer holds %d entries, cap 8", got)
+	f := fifoMap[int, int]{cap: 8}
+	for i := 0; i < 10_000; i++ {
+		f.put(i, i)
 	}
-	if got := len(c.mets); got != 8 {
-		t.Errorf("metrics layer holds %d entries, cap 8", got)
+	if f.len() != 8 || len(f.order.buf) > 16 {
+		t.Errorf("fifoMap holds %d entries in %d ring slots, cap 8", f.len(), len(f.order.buf))
 	}
-	if got := len(c.runOrder.buf); got > 16 {
+	for i := 10_000 - 8; i < 10_000; i++ {
+		if v, ok := f.get(i); !ok || v != i {
+			t.Errorf("recent key %d evicted before older ones", i)
+		}
+	}
+
+	c := newResultCache()
+	c.runs.cap = 8
+	c.mets.cap = 8
+	for i := 0; i < 10_000; i++ {
+		c.put(slot{key: keyOf(i), full: true}, &Result{Cycles: int64(i)})
+		c.put(slot{key: keyOf(i)}, &Result{Cycles: int64(i)})
+	}
+	if st := c.stats(); st.Results != 8 || st.Metrics != 8 {
+		t.Errorf("layers hold %d results and %d metrics, cap 8 each", st.Results, st.Metrics)
+	}
+	if got := len(c.runs.order.buf); got > 16 {
 		t.Errorf("run eviction queue backing array grew to %d slots for cap 8", got)
 	}
-	if got := len(c.metOrder.buf); got > 16 {
+	if got := len(c.mets.order.buf); got > 16 {
 		t.Errorf("metrics eviction queue backing array grew to %d slots for cap 8", got)
 	}
 	// FIFO: the survivors are exactly the 8 newest keys.
 	for i := 10_000 - 8; i < 10_000; i++ {
-		var k cacheKey
-		k[0], k[1], k[2] = byte(i), byte(i>>8), byte(i>>16)
-		if _, ok := c.runs[k]; !ok {
+		if _, ok := c.get(slot{key: keyOf(i), full: true}); !ok {
 			t.Errorf("recent key %d evicted before older ones", i)
 		}
+	}
+
+	mx := NewMatrix()
+	for chips := 1; chips <= 3*matrixMachineCap; chips++ {
+		if _, err := mx.machine(Topology{Chips: chips, CoresPerChip: 1, SMTWays: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mx.mu.Lock()
+	n, slots := mx.machines.len(), len(mx.machines.order.buf)
+	_, newest := mx.machines.get(Topology{Chips: 3 * matrixMachineCap, CoresPerChip: 1, SMTWays: 2})
+	_, oldest := mx.machines.get(Topology{Chips: 1, CoresPerChip: 1, SMTWays: 2})
+	mx.mu.Unlock()
+	if n != matrixMachineCap || slots > 2*matrixMachineCap {
+		t.Errorf("matrix holds %d machines in %d ring slots, cap %d", n, slots, matrixMachineCap)
+	}
+	if !newest || oldest {
+		t.Errorf("matrix machine set is not FIFO: newest kept %v, oldest kept %v", newest, oldest)
 	}
 }
 
@@ -83,18 +112,17 @@ func TestRunCacheEvictionBounded(t *testing.T) {
 // stay quiet.
 func TestResultCacheConcurrent(t *testing.T) {
 	c := newResultCache()
-	c.runCap = 4
-	c.metCap = 4
+	c.runs.cap = 4
+	c.mets.cap = 4
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				var k cacheKey
-				k[0] = byte((g + i) % 16)
-				if _, ok := c.getRun(k); !ok {
-					c.putRun(k, &Result{Cycles: int64(i)})
+				s := slot{key: cacheKey{byte((g + i) % 16)}, full: i%2 == 0}
+				if _, ok := c.get(s); !ok {
+					c.put(s, &Result{Cycles: int64(i)})
 				}
 				if i%100 == 0 && g == 0 {
 					c.clear()
@@ -386,7 +414,7 @@ func TestUseDiskCacheRejectsBadDir(t *testing.T) {
 // TestEncodeResultRequiresTrace pins the persistence guard: a result
 // without its trace cannot round-trip and must not be persisted.
 func TestEncodeResultRequiresTrace(t *testing.T) {
-	if _, ok := encodeResult(&Result{Cycles: 1}); ok {
+	if _, ok := encodeResult(&Result{Cycles: 1}, true); ok {
 		t.Error("traceless result claimed to be persistable")
 	}
 }
@@ -394,15 +422,19 @@ func TestEncodeResultRequiresTrace(t *testing.T) {
 // TestDecodeResultRejectsGarbage pins decode's failure modes: syntax
 // errors and structurally invalid traces both surface as errors.
 func TestDecodeResultRejectsGarbage(t *testing.T) {
-	if _, err := decodeResult([]byte(`{`)); err == nil {
+	if _, err := decodeResult([]byte(`{`), true); err == nil {
 		t.Error("bad JSON decoded")
 	}
 	// Valid JSON, impossible trace: an interval past the recorded end.
 	bad := `{"seconds": 1, "cycles": 10, "ranks": [], "trace_end": 5, "trace": [[{"s": 1, "f": 0, "t": 9}]]}`
-	if _, err := decodeResult([]byte(bad)); err == nil {
+	if _, err := decodeResult([]byte(bad), true); err == nil {
 		t.Error("out-of-range trace decoded")
 	}
-	if _, err := decodeMetrics([]byte(`[`)); err == nil {
+	// A metrics-only record never revives as a full Result.
+	if _, err := decodeResult([]byte(`{"cycles": 10, "seconds": 1, "imbalance_pct": 0}`), true); err == nil {
+		t.Error("traceless record decoded as a full result")
+	}
+	if _, err := decodeResult([]byte(`[`), false); err == nil {
 		t.Error("bad metrics JSON decoded")
 	}
 }
@@ -411,7 +443,7 @@ func TestDecodeResultRejectsGarbage(t *testing.T) {
 // key, followers share the published value, forget makes the key fresh.
 func TestFlightGroupPublishOnce(t *testing.T) {
 	var g flightGroup[int]
-	k := cacheKey{1}
+	k := slot{key: cacheKey{1}}
 	f, leader := g.join(k)
 	if !leader {
 		t.Fatal("first join was not the leader")
@@ -432,5 +464,155 @@ func TestFlightGroupPublishOnce(t *testing.T) {
 	}
 	if _, leader3 := g.join(k); !leader3 {
 		t.Fatal("join after forget did not start a fresh flight")
+	}
+}
+
+// recordJob is the job whose records testdata/diskcache holds: one full
+// Run record and one sweep-point metrics record of the same
+// configuration (pinned in order at medium priority, no OS noise),
+// written by the Machine before the outcome store was unified.
+func recordJob() Job {
+	return Job{Name: "parent-records", Ranks: [][]Phase{
+		{Compute("fpu", 3000), Barrier(), Compute("l1", 2000), Barrier()},
+		{Compute("fpu", 12000), Barrier(), Compute("l1", 8000), Barrier()},
+		{Compute("fpu", 3000), Barrier(), Compute("l1", 2000), Barrier()},
+		{Compute("fpu", 12000), Barrier(), Compute("l1", 8000), Barrier()},
+	}}
+}
+
+// TestCheckedInRecordsRevive pins the disk format across the store
+// unification: the checked-in "run" and "met" records must sit under
+// the keys today's code computes, revive with zero simulations, and
+// match a fresh simulation exactly — the run record re-encodes to its
+// original bytes, trace included.
+func TestCheckedInRecordsRevive(t *testing.T) {
+	const dir = "testdata/diskcache/" + diskVersion
+	opts := &Options{NoOSNoise: true}
+	job, pl := recordJob(), PinInOrder(4)
+	key := placementKey(envJobKey(*opts, job), pl)
+	runRec, err := os.ReadFile(filepath.Join(dir, slot{key: key, full: true}.diskKey()[:2], slot{key: key, full: true}.diskKey()+".json"))
+	if err != nil {
+		t.Fatalf("run record not under today's key: %v", err)
+	}
+	metRec, err := os.ReadFile(filepath.Join(dir, slot{key: key}.diskKey()[:2], slot{key: key}.diskKey()+".json"))
+	if err != nil {
+		t.Fatalf("met record not under today's key: %v", err)
+	}
+	// Revive from a private copy, so nothing is ever written next to the
+	// checked-in records.
+	root := t.TempDir()
+	for _, rec := range []struct {
+		s    slot
+		data []byte
+	}{{slot{key: key, full: true}, runRec}, {slot{key: key}, metRec}} {
+		path := filepath.Join(root, diskVersion, rec.s.diskKey()[:2], rec.s.diskKey()+".json")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, rec.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewMachine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.UseDiskCache(root); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	revived, err := m.Run(ctx, job, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := Space{FixPairing: true, Priorities: []Priority{PriorityMedium}}
+	revivedSweep, err := m.SweepAll(ctx, job, space, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := m.CacheStats()
+	if st.DiskHits != 2 || st.Misses-st.Coalesced-st.DiskHits != 0 {
+		t.Errorf("revival: stats %+v, want 2 disk hits and 0 simulations", st)
+	}
+
+	fresh, err := runWith(job, pl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualResults(t, fresh, revived)
+	if revived.SkippedCycles != fresh.SkippedCycles || revived.Policy != fresh.Policy || revived.BalancerMoves != fresh.BalancerMoves {
+		t.Errorf("revived result differs: %+v vs %+v", revived, fresh)
+	}
+	if data, ok := encodeResult(revived, true); !ok || !bytes.Equal(data, runRec) {
+		t.Errorf("revived run record re-encodes differently:\n%s\nvs checked in\n%s", data, runRec)
+	}
+	freshSweep, err := sweepWith(opts, job, space, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(revivedSweep.Entries, freshSweep.Entries) {
+		t.Errorf("revived sweep point differs:\n%+v\nvs\n%+v", revivedSweep.Entries, freshSweep.Entries)
+	}
+}
+
+// TestConcurrentRunAndSweepSameKeys runs Machine.Run and SweepAll over
+// the same configurations at once: every Run must get a full Result
+// with its trace — never a sweep point's metrics-only outcome — both
+// sides must agree with a fresh simulation, and the simulation count
+// must stay Misses − Coalesced − DiskHits.  Run it with -race.
+func TestConcurrentRunAndSweepSameKeys(t *testing.T) {
+	job := sweepTestJob(1500, 6000)
+	space := Space{FixPairing: true, Priorities: []Priority{PriorityMedium, PriorityHigh}}
+	want, err := sweepWith(nil, job, space, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var binds atomic.Int64
+	m, err := NewMachine(&Options{Policy: bindCountingPolicy{binds: &binds}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const rounds = 4
+	for round := 0; round < rounds; round++ {
+		m.ClearCache() // every round starts cold, so Runs and sweep points race to lead
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				res, err := m.SweepAll(ctx, job, space, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(res.Entries) != len(want.Entries) {
+					t.Errorf("sweep ranked %d entries, want %d", len(res.Entries), len(want.Entries))
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for _, e := range want.Entries {
+					res, err := m.Run(ctx, job, e.Placement)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if res.tr == nil || len(res.Ranks) != len(job.Ranks) || res.Iterations == 0 {
+						t.Errorf("Run of %v got a partial result: %+v", e.Placement, res)
+						return
+					}
+					if res.Cycles != e.Cycles {
+						t.Errorf("Run of %v: %d cycles, sweep says %d", e.Placement, res.Cycles, e.Cycles)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	st := m.CacheStats()
+	sims := st.Misses - st.Coalesced - st.DiskHits
+	if sims != binds.Load() {
+		t.Errorf("stats say %d simulations, the policy was bound %d times (%+v)", sims, binds.Load(), st)
 	}
 }

@@ -58,7 +58,7 @@
 // absorption (hits, coalesced, disk revivals):
 //
 //	mtbalance loadtest -url http://localhost:8080 -c 16 -duration 10s
-//	mtbalance loadtest -url http://localhost:8080 -out BENCH_serve_baseline.json
+//	mtbalance loadtest -url http://localhost:8080 -out loadtest.json
 //
 // Run `mtbalance run -h` / `mtbalance sweep -h` / `mtbalance matrix -h`
 // / `mtbalance serve -h` / `mtbalance loadtest -h` for the full flag

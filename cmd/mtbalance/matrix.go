@@ -67,7 +67,6 @@ func matrixMain(args []string, stdout, stderr io.Writer) int {
 		policies   = fs.String("policies", "", "';'-separated balancing policies ("+strings.Join(smtbalance.Policies(), ", ")+")")
 		topologies = fs.String("topologies", "", "';'-separated machine topologies, e.g. '1x2x2;2x2x2'")
 		workers    = fs.Int("workers", 0, "concurrent simulator runs per cell (0 = one per CPU, 1 = serial)")
-		screen     = fs.Int("screen", 0, "forward a two-level screening budget to each cell's sweep (0 = exhaustive; cells are screening-invariant today)")
 		format     = fs.String("format", "table", "output format: table or csv")
 		progress   = fs.Bool("progress", false, "report cell progress on stderr")
 	)
@@ -124,7 +123,7 @@ func matrixMain(args []string, stdout, stderr io.Writer) int {
 		spec.Topologies = append(spec.Topologies, topo)
 	}
 
-	opts := &smtbalance.MatrixOptions{Workers: *workers, Screen: *screen}
+	opts := &smtbalance.MatrixOptions{Workers: *workers}
 	if *progress {
 		opts.Progress = func(done, total int) {
 			fmt.Fprintf(stderr, "matrix: %d/%d cells\n", done, total)

@@ -19,13 +19,14 @@ import (
 // identically — see envJobKey).
 func runExactPair(t *testing.T, job Job, pl Placement, opts Options, pol Policy) (*Result, *Result) {
 	t.Helper()
+	opts.Policy = pol
 	exactOpts := opts
 	exactOpts.Exact = true
-	exact, err := runSim(context.Background(), job, pl, &exactOpts, pol)
+	exact, err := runSim(context.Background(), job, pl, &exactOpts)
 	if err != nil {
 		t.Fatalf("exact run failed: %v", err)
 	}
-	fast, err := runSim(context.Background(), job, pl, &opts, pol)
+	fast, err := runSim(context.Background(), job, pl, &opts)
 	if err != nil {
 		t.Fatalf("fast run failed: %v", err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,8 +44,13 @@ func job() smtbalance.Job {
 
 func main() {
 	j := job()
+	ctx := context.Background()
+	m, err := smtbalance.NewMachine(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	naive, err := smtbalance.Run(j, smtbalance.PinInOrder(4), nil)
+	naive, err := m.Run(ctx, j, smtbalance.PinInOrder(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func main() {
 	}
 	fmt.Println()
 
-	planned, err := smtbalance.Run(j, plan, nil)
+	planned, err := m.Run(ctx, j, plan)
 	if err != nil {
 		log.Fatal(err)
 	}

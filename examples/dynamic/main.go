@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,8 +44,13 @@ func job() smtbalance.Job {
 func main() {
 	j := job()
 	pl := smtbalance.PinInOrder(2) // both ranks on core 0
+	ctx := context.Background()
+	m, err := smtbalance.NewMachine(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	base, err := smtbalance.Run(j, pl, nil)
+	base, err := m.Run(ctx, j, pl)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,9 +58,10 @@ func main() {
 		base.Seconds*1e6, base.ImbalancePct)
 
 	fmt.Println("iter  comp(P1)  comp(P2)  heavier")
-	dyn, err := smtbalance.Run(j, pl, &smtbalance.Options{
-		DynamicBalance:  true,
-		MaxPriorityDiff: 1,
+	// The balancer and the per-iteration printer are part of the
+	// simulation environment, so they get a machine of their own.
+	traced, err := smtbalance.NewMachine(&smtbalance.Options{
+		Policy: &smtbalance.PaperDynamic{MaxDiff: 1},
 		OnIteration: func(it smtbalance.IterationStats) {
 			heavier := "P1"
 			if it.ComputeCycles[1] > it.ComputeCycles[0] {
@@ -64,6 +71,10 @@ func main() {
 				it.Index, it.ComputeCycles[0], it.ComputeCycles[1], heavier)
 		},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	dyn, err := traced.Run(ctx, j, pl)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,12 +47,17 @@ func main() {
 		{"D (heavy 6, light 3 — too far)", []smtbalance.Priority{3, 6, 3, 6}},
 	}
 	j := job()
+	ctx := context.Background()
+	m, err := smtbalance.NewMachine(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var baseline float64
 	for _, c := range cases {
-		res, err := smtbalance.Run(j, smtbalance.Placement{
+		res, err := m.Run(ctx, j, smtbalance.Placement{
 			CPU:      []int{0, 1, 2, 3},
 			Priority: c.prio,
-		}, nil)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,8 +22,15 @@ func main() {
 		{smtbalance.Compute("fpu", 220_000), smtbalance.Barrier()},
 	}}
 
+	// The paper's machine: one POWER5 chip, patched kernel, warm caches.
+	ctx := context.Background()
+	m, err := smtbalance.NewMachine(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Reference: everything at the default medium priority.
-	base, err := smtbalance.Run(job, smtbalance.PinInOrder(4), nil)
+	base, err := m.Run(ctx, job, smtbalance.PinInOrder(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,13 +41,13 @@ func main() {
 	// The fix: the heavy rank of each core gets priority 6 (high), the
 	// light one keeps 4 (medium) — a decode-cycle split of 7:1 while
 	// both compute, and the light rank spins at low cost afterwards.
-	balanced, err := smtbalance.Run(job, smtbalance.Placement{
+	balanced, err := m.Run(ctx, job, smtbalance.Placement{
 		CPU: []int{0, 1, 2, 3},
 		Priority: []smtbalance.Priority{
 			smtbalance.PriorityMedium, smtbalance.PriorityHigh,
 			smtbalance.PriorityMedium, smtbalance.PriorityHigh,
 		},
-	}, nil)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,15 +54,13 @@ func main() {
 		fmt.Printf("  %-38s %-46s %.4f\n", e.Scenario, e.Policy, e.Speedup)
 	}
 
-	// The same engine replays cached cells instantly — EvalAll here
-	// costs three cell-cache hits, not nine simulations.
+	// The same engine replays the finished runs from its machine's
+	// result cache — EvalAll here costs no simulation at all.
 	res, err := mx.EvalAll(ctx, spec, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hits, misses, _ := mx.CellStats()
-	fmt.Printf("\n%d entries over %d cells (cell cache: %d hits, %d misses)\n",
-		len(res.Entries), res.Cells, hits, misses)
+	fmt.Printf("\n%d entries over %d cells\n", len(res.Entries), res.Cells)
 
 	// Close the paper's loop on one shape: a scenario-backed session
 	// profiles the step job, re-places it from the observed compute

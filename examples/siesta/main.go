@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,14 +63,19 @@ func main() {
 	// Pair the similar ranks P2/P3 on one core and P1/P4 on the other,
 	// as the paper's case C does.
 	cpus := []int{2, 0, 1, 3}
+	ctx := context.Background()
+	m, err := smtbalance.NewMachine(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	run := func(label string, prio []smtbalance.Priority, opts *smtbalance.Options) float64 {
-		res, err := smtbalance.Run(j, smtbalance.Placement{CPU: cpus, Priority: prio}, opts)
+	run := func(label string, prio []smtbalance.Priority, pol smtbalance.Policy) float64 {
+		res, err := m.RunPolicy(ctx, j, smtbalance.Placement{CPU: cpus, Priority: prio}, pol)
 		if err != nil {
 			log.Fatal(err)
 		}
 		extra := ""
-		if opts != nil && opts.DynamicBalance {
+		if pol != nil {
 			extra = fmt.Sprintf("  (%d priority moves)", res.BalancerMoves)
 		}
 		fmt.Printf("%-28s exec %8.1fµs  imbalance %5.1f%%%s\n",
@@ -81,7 +87,7 @@ func main() {
 	run("C: static, favor P4 (+1)", []smtbalance.Priority{4, 4, 4, 5}, nil)
 	run("D: static, favor P4 (+2)", []smtbalance.Priority{4, 4, 4, 6}, nil)
 	dyn := run("dynamic OS balancer", []smtbalance.Priority{4, 4, 4, 4},
-		&smtbalance.Options{DynamicBalance: true})
+		&smtbalance.PaperDynamic{})
 
 	fmt.Printf("\ndynamic vs no balancing: %+.1f%%\n", 100*(ref-dyn)/ref)
 	fmt.Println("\nThe static cases help only while their guess matches the current")

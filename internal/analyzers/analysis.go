@@ -77,7 +77,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // inTestFile reports whether pos lies in a _test.go file.  The suite
 // analyzes production sources only: test files may use wall clocks,
-// deprecated wrappers and undocumented helpers freely.
+// context.Background and undocumented helpers freely.
 func (p *Pass) inTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }

@@ -9,7 +9,7 @@ import (
 
 // CacheKey enforces the cache-key audit that cache.go's envJobKey
 // comment used to delegate to reviewers: every field of a struct marked
-// `//mtlint:cachekey <group>` (smtbalance.Options, MatrixSpec) must
+// `//mtlint:cachekey <group>` (smtbalance.Options) must
 // either flow into a hasher of the same group — it is read inside the
 // body of a function marked `//mtlint:cachekey-hasher <group>`, or
 // appears as a call argument to such a function — or carry an explicit
@@ -130,7 +130,7 @@ func runCacheKey(pass *Pass) error {
 					}
 				}
 				// Field selections passed as arguments to a hasher count
-				// too: `envJobKey(m.opts.Topology, ...)` hashes Topology.
+				// too: `hasher(m.opts.Topology, ...)` hashes Topology.
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {

@@ -18,8 +18,9 @@ import (
 //     sever the cancellation chain.  The nil-guard idiom
 //     (`if ctx == nil { ctx = context.Background() }`) is recognized
 //     automatically; any other root must be annotated
-//     `//mtlint:ctx-root <why>` on the function (the deprecated
-//     ctx-less wrappers are the intended users);
+//     `//mtlint:ctx-root <why>` on the function (ctx-less convenience
+//     wrappers such as mpisim.Run, whose cancellable form is RunCtx,
+//     are the intended users);
 //  3. passing a literal nil where a callee expects a context is
 //     banned — use the caller's ctx, or a documented root.
 var CtxFlow = &Analyzer{

@@ -323,10 +323,6 @@ type MatrixRequest struct {
 	// Topologies are "chips x cores x smt" strings; empty means the
 	// server machine's topology.
 	Topologies []string `json:"topologies,omitempty"`
-	// Screen is forwarded to every cell's sweep (see
-	// smtbalance.MatrixOptions.Screen); today's single-placement cells
-	// are screening-invariant, so it never changes entries.
-	Screen int `json:"screen,omitempty"`
 }
 
 // MatrixEntryJSON is one evaluation, one NDJSON chunk of the matrix
@@ -912,10 +908,6 @@ func (s *server) matrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "scenarios and policies must both be non-empty")
 		return
 	}
-	if req.Screen < 0 {
-		writeError(w, http.StatusBadRequest, "screen must be >= 0, got %d", req.Screen)
-		return
-	}
 	if cells := len(spec.Topologies) * len(spec.Scenarios); cells > s.cfg.MaxMatrixCells {
 		writeError(w, http.StatusBadRequest, "%d topology × scenario cells; this server accepts at most %d", cells, s.cfg.MaxMatrixCells)
 		return
@@ -931,7 +923,7 @@ func (s *server) matrix(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	var enc *json.Encoder
 	entries := 0
-	for e, err := range s.mx.Eval(ctx, spec, &smtbalance.MatrixOptions{Workers: s.cfg.SweepWorkers, Screen: req.Screen}) {
+	for e, err := range s.mx.Eval(ctx, spec, &smtbalance.MatrixOptions{Workers: s.cfg.SweepWorkers}) {
 		if err != nil {
 			switch {
 			case enc != nil:

@@ -29,7 +29,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Sweep(job, points, Options{Workers: w}); err != nil {
+				if _, err := SweepCtx(b.Context(), points, Options{Workers: w, RunFn: simRun(job, mpisim.Config{})}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -46,9 +46,9 @@ func BenchmarkSweepWorkers(b *testing.B) {
 // so the speedup must reach at least 0.7x the core count (gated; on a
 // single-core machine the gate degenerates to "parallel dispatch costs
 // under 30%").  The per-topology `configs` metric records how much work
-// the chip/core symmetry pruning leaves.  Record with the README recipe
-// — explicitly without -cpu / GOMAXPROCS caps — into
-// BENCH_simcore_baseline.json.
+// the chip/core symmetry pruning leaves.  The recorded number is
+// perfbench's sweep.parallel_speedup (`bash perfbench/run.sh --workload
+// sweep-phaseskip --trace 1`, run without GOMAXPROCS caps).
 func BenchmarkSweepSpeedup(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -71,13 +71,13 @@ func BenchmarkSweepSpeedup(b *testing.B) {
 			var speedup float64
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				serial, err := Sweep(job, points, Options{Workers: 1, Config: cfg})
+				serial, err := SweepCtx(b.Context(), points, Options{Workers: 1, RunFn: simRun(job, cfg)})
 				if err != nil {
 					b.Fatal(err)
 				}
 				tSerial := time.Since(t0)
 				t0 = time.Now()
-				parallel, err := Sweep(job, points, Options{Workers: workers, Config: cfg})
+				parallel, err := SweepCtx(b.Context(), points, Options{Workers: workers, RunFn: simRun(job, cfg)})
 				if err != nil {
 					b.Fatal(err)
 				}

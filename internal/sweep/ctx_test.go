@@ -63,7 +63,7 @@ func TestSweepCtxCancelledReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err = SweepCtx(ctx, job, points, Options{Workers: 2})
+	_, err = SweepCtx(ctx, points, Options{Workers: 2, RunFn: simRun(job, mpisim.Config{})})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SweepCtx on a cancelled context returned %v, want context.Canceled", err)
 	}
@@ -80,8 +80,9 @@ func TestSweepCtxProgress(t *testing.T) {
 	}
 	var calls int
 	last := 0
-	res, err := SweepCtx(context.Background(), job, points, Options{
+	res, err := SweepCtx(context.Background(), points, Options{
 		Workers: 4,
+		RunFn:   simRun(job, mpisim.Config{}),
 		OnProgress: func(done, total int) {
 			calls++
 			if total != len(points) {
@@ -102,14 +103,13 @@ func TestSweepCtxProgress(t *testing.T) {
 }
 
 func TestSweepCtxRunFnOverride(t *testing.T) {
-	job := ctxTestJob(1_000)
 	points, err := Enumerate(4, Space{Pairings: []Pairing{{{0, 1}, {2, 3}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hits atomic.Int64
-	res, err := SweepCtx(context.Background(), job, points, Options{
-		RunFn: func(ctx context.Context, _ int, job *mpisim.Job, pl mpisim.Placement, cfg mpisim.Config) (Metrics, error) {
+	res, err := SweepCtx(context.Background(), points, Options{
+		RunFn: func(ctx context.Context, _ int, pl mpisim.Placement) (Metrics, error) {
 			hits.Add(1)
 			// A fake but deterministic metric: score by the first rank's CPU.
 			return Metrics{Cycles: int64(pl.CPU[0] + 1), Seconds: 1, ImbalancePct: 0}, nil

@@ -22,9 +22,11 @@
 //     arbitrates between siblings, and the paper expresses dedicated
 //     cores as ST-mode rows (priority 7), not as sweep points.
 //
-//   - The sweep itself (Sweep): shard independent mpisim.Run calls — the
-//     simulator is pure and shares nothing between runs — across the
-//     pool, score each run with a pluggable Objective, and aggregate into
+//   - The sweep itself (SweepCtx): shard independent point evaluations
+//     — the caller's RunFn, which simulates (or serves from its cache)
+//     one configuration; the simulator is pure and shares nothing
+//     between runs — across the pool, score each run with a pluggable
+//     Objective, and aggregate into
 //     a stable ranking that is byte-identical whether the sweep ran on
 //     one worker or fifty.  Multi-chip spaces are larger even after
 //     pruning, so the same index-sharded pool is what keeps 2-chip

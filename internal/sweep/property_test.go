@@ -384,7 +384,7 @@ func TestSweepTopologyDeterminism(t *testing.T) {
 	job := sweepJob(2000)
 	var ref *Result
 	for _, workers := range []int{1, 4} {
-		res, err := Sweep(job, points, Options{Workers: workers, Config: propCfg(topo)})
+		res, err := SweepCtx(t.Context(), points, Options{Workers: workers, RunFn: simRun(job, propCfg(topo))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,7 +130,7 @@ func TestScreenedRankingIsRestriction(t *testing.T) {
 
 	// A synthetic, deterministic evaluator keeps the test fast and makes
 	// the exhaustive/screened comparison exact.
-	fakeRun := func(_ context.Context, _ int, _ *mpisim.Job, pl mpisim.Placement, _ mpisim.Config) (Metrics, error) {
+	fakeRun := func(_ context.Context, _ int, pl mpisim.Placement) (Metrics, error) {
 		var h int64 = 1469598103934665603
 		for _, c := range pl.CPU {
 			h = (h ^ int64(c)) * 1099511628211
@@ -144,7 +144,7 @@ func TestScreenedRankingIsRestriction(t *testing.T) {
 		return Metrics{Cycles: 10000 + h%100000, Seconds: 1, ImbalancePct: float64(h % 97)}, nil
 	}
 
-	full, err := SweepCtx(context.Background(), job, points, Options{RunFn: fakeRun})
+	full, err := SweepCtx(context.Background(), points, Options{RunFn: fakeRun})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestScreenedRankingIsRestriction(t *testing.T) {
 		kept[i] = points[idx]
 		inShort[points[idx].String()] = true
 	}
-	screened, err := SweepCtx(context.Background(), job, kept, Options{RunFn: fakeRun})
+	screened, err := SweepCtx(context.Background(), kept, Options{RunFn: fakeRun})
 	if err != nil {
 		t.Fatal(err)
 	}

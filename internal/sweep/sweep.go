@@ -20,19 +20,13 @@ type Options struct {
 	Top int
 	// Objective scores each run; the zero value minimizes cycles.
 	Objective Objective
-	// Config is the per-run simulator configuration.  Its OnIteration
-	// hook must be nil: runs execute concurrently and a shared callback
-	// would race (per-run hooks belong to the caller's own Run calls).
-	Config mpisim.Config
-	// RunFn, if set, replaces the direct mpisim.RunCtx evaluation of
-	// each point — the hook caching layers use to serve repeated
-	// configurations from memory, and policy-axis sweeps use to attach
-	// a per-point environment (idx is the point's position in the input
-	// slice, so a caller fanning a cross product through one pool can
-	// recover its extra axes from it).  It must be safe for concurrent
-	// use and deterministic in its inputs, or the ranking loses its
-	// worker-count independence.
-	RunFn func(ctx context.Context, idx int, job *mpisim.Job, pl mpisim.Placement, cfg mpisim.Config) (Metrics, error)
+	// RunFn evaluates one point and is required: the caller owns the
+	// job, the simulation environment and any caching (idx is the
+	// point's position in the input slice, so a caller fanning a cross
+	// product through one pool can recover its extra axes from it).  It
+	// must be safe for concurrent use and deterministic in its inputs,
+	// or the ranking loses its worker-count independence.
+	RunFn func(ctx context.Context, idx int, pl mpisim.Placement) (Metrics, error)
 	// OnProgress, if set, is called after each completed evaluation
 	// with the number of points finished so far and the total.  Calls
 	// are serialized (one at a time), but their order follows run
@@ -83,41 +77,24 @@ func (r *Result) Best() (RunResult, error) {
 	return r.Ranked[0], nil
 }
 
-// Sweep evaluates every point of the space under the job and returns the
-// objective's ranking.  Each point is an independent mpisim.Run — the
-// simulator is pure, so runs fan out across the worker pool and land in
-// a pre-allocated slot; aggregation then scores and sorts with a total
-// order.  The result is deterministic and independent of Options.Workers.
-//
-//mtlint:ctx-root ctx-less convenience wrapper; SweepCtx is the cancellable form
-func Sweep(job *mpisim.Job, points []Point, opt Options) (*Result, error) {
-	return SweepCtx(context.Background(), job, points, opt)
-}
-
-// SweepCtx is Sweep with cancellation: once ctx is done, no new point is
-// claimed, in-flight simulator runs abort at their next scheduling
-// quantum, and ctx.Err() is returned instead of a partial ranking.
-func SweepCtx(ctx context.Context, job *mpisim.Job, points []Point, opt Options) (*Result, error) {
+// SweepCtx evaluates every point through Options.RunFn and returns the
+// objective's ranking.  Points are independent, so they fan out across
+// the worker pool and land in a pre-allocated slot; aggregation then
+// scores and sorts with a total order, so the result is deterministic
+// and independent of Options.Workers.  Once ctx is done, no new point
+// is claimed, in-flight evaluations see the cancelled ctx, and
+// ctx.Err() is returned instead of a partial ranking.
+func SweepCtx(ctx context.Context, points []Point, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sweep: empty configuration space")
 	}
-	if opt.Config.OnIteration != nil {
-		return nil, fmt.Errorf("sweep: Config.OnIteration is not supported in sweeps (runs are concurrent)")
+	if opt.RunFn == nil {
+		return nil, fmt.Errorf("sweep: Options.RunFn is required")
 	}
 	obj := opt.Objective.normalize()
-	runFn := opt.RunFn
-	if runFn == nil {
-		runFn = func(ctx context.Context, _ int, job *mpisim.Job, pl mpisim.Placement, cfg mpisim.Config) (Metrics, error) {
-			res, err := mpisim.RunCtx(ctx, job, pl, cfg)
-			if err != nil {
-				return Metrics{}, err
-			}
-			return Metrics{Cycles: res.Cycles, Seconds: res.Seconds, ImbalancePct: res.Imbalance}, nil
-		}
-	}
 	var (
 		progressMu sync.Mutex
 		done       int
@@ -126,7 +103,7 @@ func SweepCtx(ctx context.Context, job *mpisim.Job, points []Point, opt Options)
 	results := make([]RunResult, len(points))
 	err := ForEachCtx(ctx, len(points), opt.Workers, func(i int) {
 		rr := RunResult{Index: i, Point: points[i]}
-		met, err := runFn(ctx, i, job, points[i].Placement(), opt.Config)
+		met, err := opt.RunFn(ctx, i, points[i].Placement())
 		if err != nil {
 			rr.Err = err
 		} else {
@@ -179,13 +156,4 @@ func SweepCtx(ctx context.Context, job *mpisim.Job, points []Point, opt Options)
 	}
 	out.Ranked = results
 	return out, nil
-}
-
-// SweepSpace enumerates the space for the job's rank count and sweeps it.
-func SweepSpace(job *mpisim.Job, sp Space, opt Options) (*Result, error) {
-	points, err := Enumerate(len(job.Ranks), sp)
-	if err != nil {
-		return nil, err
-	}
-	return Sweep(job, points, opt)
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -161,6 +162,18 @@ func sweepJob(load int64) *mpisim.Job {
 	return job
 }
 
+// simRun returns a sweep runner that simulates every point of job
+// under cfg with mpisim.RunCtx.
+func simRun(job *mpisim.Job, cfg mpisim.Config) func(context.Context, int, mpisim.Placement) (Metrics, error) {
+	return func(ctx context.Context, _ int, pl mpisim.Placement) (Metrics, error) {
+		res, err := mpisim.RunCtx(ctx, job, pl, cfg)
+		if err != nil {
+			return Metrics{}, err
+		}
+		return Metrics{Cycles: res.Cycles, Seconds: res.Seconds, ImbalancePct: res.Imbalance}, nil
+	}
+}
+
 // testSpace is small enough for -race yet non-trivial: all 3 pairings
 // with a two-letter alphabet (48 configurations).
 func testSpace() Space {
@@ -173,12 +186,12 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Sweep(job, points, Options{Workers: 1})
+	serial, err := SweepCtx(t.Context(), points, Options{Workers: 1, RunFn: simRun(job, mpisim.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		par, err := Sweep(job, points, Options{Workers: w})
+		par, err := SweepCtx(t.Context(), points, Options{Workers: w, RunFn: simRun(job, mpisim.Config{})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +210,11 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 
 func TestSweepFindsBalancingConfiguration(t *testing.T) {
 	job := sweepJob(6000)
-	res, err := SweepSpace(job, testSpace(), Options{Workers: 4})
+	points, err := Enumerate(4, testSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SweepCtx(t.Context(), points, Options{Workers: 4, RunFn: simRun(job, mpisim.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +259,11 @@ func TestSweepObjectiveChangesRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCycles, err := Sweep(job, points, Options{Objective: MinCycles()})
+	byCycles, err := SweepCtx(t.Context(), points, Options{Objective: MinCycles(), RunFn: simRun(job, mpisim.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byImb, err := Sweep(job, points, Options{Objective: MinImbalance()})
+	byImb, err := SweepCtx(t.Context(), points, Options{Objective: MinImbalance(), RunFn: simRun(job, mpisim.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +282,7 @@ func TestSweepTopTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sweep(job, points, Options{Top: 5})
+	res, err := SweepCtx(t.Context(), points, Options{Top: 5, RunFn: simRun(job, mpisim.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +301,7 @@ func TestSweepRecordsFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A 1-cycle budget starves every run.
-	res, err := Sweep(job, points, Options{Config: mpisim.Config{MaxCycles: 1}})
+	res, err := SweepCtx(t.Context(), points, Options{RunFn: simRun(job, mpisim.Config{MaxCycles: 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +315,7 @@ func TestSweepRecordsFailures(t *testing.T) {
 		t.Error("Best succeeded on an all-failed sweep")
 	}
 	// Truncation must not erase the failure record.
-	res, err = Sweep(job, points, Options{Top: 1, Config: mpisim.Config{MaxCycles: 1}})
+	res, err = SweepCtx(t.Context(), points, Options{Top: 1, RunFn: simRun(job, mpisim.Config{MaxCycles: 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,12 +326,11 @@ func TestSweepRecordsFailures(t *testing.T) {
 
 func TestSweepRejectsBadOptions(t *testing.T) {
 	job := sweepJob(1000)
-	if _, err := Sweep(job, nil, Options{}); err == nil {
+	if _, err := SweepCtx(t.Context(), nil, Options{RunFn: simRun(job, mpisim.Config{})}); err == nil {
 		t.Error("empty space accepted")
 	}
-	cfg := mpisim.Config{OnIteration: func(mpisim.IterationEvent) {}}
 	points, _ := Enumerate(4, testSpace())
-	if _, err := Sweep(job, points, Options{Config: cfg}); err == nil {
-		t.Error("OnIteration accepted")
+	if _, err := SweepCtx(t.Context(), points, Options{}); err == nil {
+		t.Error("missing RunFn accepted")
 	}
 }

@@ -30,9 +30,6 @@ import (
 // in-memory cache, so repeated configurations — a sweep resumed under a
 // different objective, Optimize re-running its winner, identical service
 // requests — are served from memory.  CacheStats reports the hit rate.
-//
-// The package-level Run, Sweep and OptimizePlacement free functions are
-// deprecated thin wrappers over a shared default Machine.
 type Machine struct {
 	opts  Options
 	cache *resultCache
@@ -56,32 +53,7 @@ func NewMachine(opts *Options) (*Machine, error) {
 	if err := o.Topology.Validate(); err != nil {
 		return nil, fmt.Errorf("smtbalance: invalid Options.Topology: %w", err)
 	}
-	if _, err := o.resolvePolicy(); err != nil {
-		return nil, err
-	}
 	return &Machine{opts: o, cache: newResultCache()}, nil
-}
-
-// defaultMachine backs the deprecated package-level wrappers for calls
-// with default options, so their repeated configurations share one cache.
-var defaultMachine = sync.OnceValue(func() *Machine {
-	m, err := NewMachine(nil)
-	if err != nil {
-		panic(err)
-	}
-	return m
-})
-
-// machineFor resolves the wrapper-level *Options to a Machine: nil
-// options share the package's default Machine (and its cache); any
-// explicit options get a transient Machine of their own.  Only nil maps
-// to the shared machine — inspecting opts field-by-field would silently
-// misroute any Options field added later.
-func machineFor(opts *Options) (*Machine, error) {
-	if opts == nil {
-		return defaultMachine(), nil
-	}
-	return NewMachine(opts)
 }
 
 // Topology returns the machine's (normalized) topology.
@@ -132,17 +104,12 @@ func ctxErrOf(ctx context.Context, err error) error {
 }
 
 // Run executes the job under the placement on this machine, with the
-// machine's configured balancing policy (Options.Policy, or the
-// deprecated DynamicBalance knob) attached.  Identical (job, placement,
-// policy) runs are served from the result cache unless
-// Options.OnIteration is set.  Cancelling ctx aborts the simulation
-// promptly with ctx.Err().
+// machine's configured balancing policy (Options.Policy) attached.
+// Identical (job, placement, policy) runs are served from the result
+// cache unless Options.OnIteration or Options.LoadDrift is set.
+// Cancelling ctx aborts the simulation promptly with ctx.Err().
 func (m *Machine) Run(ctx context.Context, job Job, pl Placement) (*Result, error) {
-	pol, err := m.opts.resolvePolicy()
-	if err != nil {
-		return nil, err
-	}
-	return m.runPolicy(ctx, job, pl, pol)
+	return m.RunPolicy(ctx, job, pl, m.opts.Policy)
 }
 
 // RunPolicy is Run with an explicit balancing policy, overriding the
@@ -150,38 +117,34 @@ func (m *Machine) Run(ctx context.Context, job Job, pl Placement) (*Result, erro
 // It is the per-request form the serve API and policy sweeps use: one
 // Machine, one cache, many policies.
 func (m *Machine) RunPolicy(ctx context.Context, job Job, pl Placement, pol Policy) (*Result, error) {
-	return m.runPolicy(ctx, job, pl, pol)
-}
-
-// runPolicy executes one run under an already-resolved policy.
-//
-// Cacheable runs go through the full tiering: the in-memory cache, then
-// the singleflight group (identical concurrent requests share one
-// computation), then — for the flight's leader — the disk tier, and
-// only then the simulator.  A leader's failure is published to its
-// followers, but a follower whose own context is still live retries
-// rather than inheriting the leader's cancellation.
-func (m *Machine) runPolicy(ctx context.Context, job Job, pl Placement, pol Policy) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := pl.validate(m.opts.Topology); err != nil {
 		return nil, err
 	}
-	cacheable := m.opts.OnIteration == nil && m.opts.LoadDrift == nil && policyCacheable(pol)
-	if !cacheable {
-		res, err := runSim(ctx, job, pl, &m.opts, pol)
-		if err != nil {
-			return nil, ctxErrOf(ctx, err)
-		}
-		return res, nil
+	env := m.opts
+	env.Policy = pol
+	if env.OnIteration != nil || env.LoadDrift != nil || !policyCacheable(pol) {
+		return runSim(ctx, job, pl, &env)
 	}
-	key := placementKey(envJobKey(m.opts.Topology, m.opts, pol, job), pl.CPU, prioInts(pl.Priority))
+	return m.evaluate(ctx, slot{key: placementKey(envJobKey(env, job), pl), full: true}, job, pl, &env)
+}
+
+// evaluate answers one cacheable configuration — a Run (s.full) or a
+// sweep point — through the outcome store's tiers: memory, then the
+// flight group (identical concurrent evaluations share one
+// computation), then, for the flight's leader, the disk, and only then
+// the simulator.  A leader's failure is published to its followers, but
+// a follower whose own context is still live retries rather than
+// inheriting the leader's cancellation.  Sweep points keep only their
+// metrics.  The caller owns the returned Result.
+func (m *Machine) evaluate(ctx context.Context, s slot, job Job, pl Placement, env *Options) (*Result, error) {
 	for {
-		if res, ok := m.cache.getRun(key); ok {
+		if res, ok := m.cache.get(s); ok {
 			return res, nil
 		}
-		f, leader := m.cache.runFlights.join(key)
+		f, leader := m.cache.flights.join(s)
 		if !leader {
 			m.cache.noteCoalesced()
 			select {
@@ -200,43 +163,28 @@ func (m *Machine) runPolicy(ctx context.Context, job Job, pl Placement, pol Poli
 				return nil, ctx.Err()
 			}
 		}
-		res, err := m.leadRun(ctx, key, job, pl, pol)
-		m.cache.runFlights.forget(key)
-		if err != nil {
-			f.publish(nil, err)
-			return nil, err
+		res, ok := m.cache.getDisk(s)
+		if !ok {
+			sim, err := runSim(ctx, job, pl, env)
+			if err != nil {
+				m.cache.flights.forget(s)
+				f.publish(nil, err)
+				return nil, err
+			}
+			res = sim
+			if !s.full {
+				res = &Result{Seconds: sim.Seconds, Cycles: sim.Cycles, ImbalancePct: sim.ImbalancePct}
+			}
+			m.cache.putDisk(s, res)
 		}
+		m.cache.put(s, res)
+		m.cache.flights.forget(s)
 		// Followers get a private copy: the leader's caller owns res and
 		// may mutate it, while f.val must stay immutable under their
 		// concurrent clones.
 		f.publish(res.clone(), nil)
 		return res, nil
 	}
-}
-
-// leadRun computes one cacheable run as a flight leader: disk tier
-// first, simulator second, both tiers updated on the way out.
-func (m *Machine) leadRun(ctx context.Context, key cacheKey, job Job, pl Placement, pol Policy) (*Result, error) {
-	if res, ok := m.cache.getRunDisk(key); ok {
-		m.cache.putRun(key, res)
-		return res, nil
-	}
-	res, err := runSim(ctx, job, pl, &m.opts, pol)
-	if err != nil {
-		return nil, ctxErrOf(ctx, err)
-	}
-	m.cache.putRun(key, res)
-	m.cache.putRunDisk(key, res)
-	return res, nil
-}
-
-// prioInts converts a priority slice for hashing.
-func prioInts(ps []Priority) []int {
-	out := make([]int, len(ps))
-	for i, p := range ps {
-		out[i] = int(p)
-	}
-	return out
 }
 
 // validateSweepJob checks a sweep's rank count against the machine's
@@ -267,11 +215,8 @@ func (m *Machine) sweepAll(ctx context.Context, job Job, space Space, opts *Swee
 	if opts == nil {
 		opts = &SweepOptions{}
 	}
-	if opts.Run != nil {
-		return nil, fmt.Errorf("smtbalance: SweepOptions.Run must be nil for Machine sweeps; the Machine fixes the environment (build a second Machine instead)")
-	}
-	if m.opts.DynamicBalance || m.opts.OnIteration != nil {
-		return nil, fmt.Errorf("smtbalance: the deprecated DynamicBalance knob and OnIteration are not supported in sweeps; set Options.Policy or list policies in Space.Policies")
+	if m.opts.OnIteration != nil {
+		return nil, fmt.Errorf("smtbalance: Options.OnIteration is not supported in sweeps; set Options.Policy or list policies in Space.Policies")
 	}
 	if m.opts.LoadDrift != nil {
 		return nil, fmt.Errorf("smtbalance: Options.LoadDrift is not supported in sweeps; precompute the drift into the job (e.g. a phaseshift Scenario) so every point runs the same program")
@@ -369,56 +314,30 @@ func (m *Machine) sweepAll(ctx context.Context, job Job, space Space, opts *Swee
 			combined = append(combined, points...)
 		}
 	}
-	polIDs := make([]string, len(pols))
+	// Each policy's environment is the machine's options with that
+	// policy attached; every point evaluates through the machine's
+	// outcome store, so repeated points — across sweeps, Optimize and
+	// matrix cells — are served or coalesced there.
+	envs := make([]Options, len(pols))
 	bases := make([][sha256.Size]byte, len(pols))
 	for i, pol := range pols {
-		polIDs[i] = PolicyID(pol)
-		bases[i] = envJobKey(m.opts.Topology, m.opts, pol, job)
+		envs[i] = m.opts
+		envs[i].Policy = pol
+		bases[i] = envJobKey(envs[i], job)
 	}
-	res, err := sweep.SweepCtx(ctx, job.inner(), combined, sweep.Options{
+	res, err := sweep.SweepCtx(ctx, combined, sweep.Options{
 		Workers:    opts.Workers,
 		Top:        opts.Top,
 		Objective:  opts.Objective.inner(),
-		Config:     m.opts.simConfig(),
 		OnProgress: opts.Progress,
-		RunFn: func(ctx context.Context, idx int, ijob *mpisim.Job, ipl mpisim.Placement, cfg mpisim.Config) (sweep.Metrics, error) {
-			pol := pols[idx/len(points)]
-			prios := make([]int, len(ipl.Prio))
-			for i, p := range ipl.Prio {
-				prios[i] = int(p)
+		RunFn: func(ctx context.Context, idx int, ipl mpisim.Placement) (sweep.Metrics, error) {
+			pl := publicPlacement(ipl)
+			p := idx / len(points)
+			met, err := m.evaluate(ctx, slot{key: placementKey(bases[p], pl)}, job, pl, &envs[p])
+			if err != nil {
+				return sweep.Metrics{}, err
 			}
-			key := placementKey(bases[idx/len(points)], ipl.CPU, prios)
-			for {
-				if met, ok := m.cache.getMetrics(key); ok {
-					return met, nil
-				}
-				// Coalesce across concurrent sweeps (and matrix cells,
-				// which evaluate through this same path): identical
-				// in-flight points share one simulation.
-				f, leader := m.cache.metFlights.join(key)
-				if !leader {
-					m.cache.noteCoalesced()
-					select {
-					case <-f.done:
-						if f.err == nil {
-							return f.val, nil
-						}
-						if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-							return sweep.Metrics{}, f.err
-						}
-						if err := ctx.Err(); err != nil {
-							return sweep.Metrics{}, err
-						}
-						continue
-					case <-ctx.Done():
-						return sweep.Metrics{}, ctx.Err()
-					}
-				}
-				met, err := m.leadPoint(ctx, key, pol, ijob, ipl, cfg)
-				m.cache.metFlights.forget(key)
-				f.publish(met, err)
-				return met, err
-			}
+			return sweep.Metrics{Cycles: met.Cycles, Seconds: met.Seconds, ImbalancePct: met.ImbalancePct}, nil
 		},
 	})
 	if err != nil {
@@ -438,14 +357,9 @@ func (m *Machine) sweepAll(ctx context.Context, job Job, space Space, opts *Swee
 		Workers:   sweep.PoolSize(res.Evaluated, opts.Workers),
 	}
 	for _, rr := range res.Ranked {
-		ipl := rr.Point.Placement()
-		pl := Placement{CPU: ipl.CPU}
-		for _, p := range ipl.Prio {
-			pl.Priority = append(pl.Priority, Priority(p))
-		}
 		entry := SweepEntry{
-			Placement:    pl,
-			Policy:       polIDs[rr.Index/len(points)],
+			Placement:    publicPlacement(rr.Point.Placement()),
+			Policy:       PolicyID(pols[rr.Index/len(points)]),
 			Cycles:       rr.Metrics.Cycles,
 			Seconds:      rr.Metrics.Seconds,
 			ImbalancePct: rr.Metrics.ImbalancePct,
@@ -456,31 +370,13 @@ func (m *Machine) sweepAll(ctx context.Context, job Job, space Space, opts *Swee
 	return out, nil
 }
 
-// leadPoint computes one sweep point as its flight's leader: disk tier
-// first, simulator second.
-func (m *Machine) leadPoint(ctx context.Context, key cacheKey, pol Policy, ijob *mpisim.Job, ipl mpisim.Placement, cfg mpisim.Config) (sweep.Metrics, error) {
-	if met, ok := m.cache.getMetricsDisk(key); ok {
-		m.cache.putMetrics(key, met)
-		return met, nil
+// publicPlacement converts a simulator placement to the public form.
+func publicPlacement(ipl mpisim.Placement) Placement {
+	pl := Placement{CPU: ipl.CPU, Priority: make([]Priority, len(ipl.Prio))}
+	for i, p := range ipl.Prio {
+		pl.Priority[i] = Priority(p)
 	}
-	if pol != nil {
-		// Attach a fresh policy instance to this run's private config
-		// copy; the hook applies the policy's actions through the
-		// simulated procfs.
-		pl := Placement{CPU: ipl.CPU}
-		for _, p := range ipl.Prio {
-			pl.Priority = append(pl.Priority, Priority(p))
-		}
-		policyHook(&cfg, pol, m.opts.Topology, pl, nil)
-	}
-	r, err := mpisim.RunCtx(ctx, ijob, ipl, cfg)
-	if err != nil {
-		return sweep.Metrics{}, err
-	}
-	met := sweep.Metrics{Cycles: r.Cycles, Seconds: r.Seconds, ImbalancePct: r.Imbalance}
-	m.cache.putMetrics(key, met)
-	m.cache.putMetricsDisk(key, met)
-	return met, nil
+	return pl
 }
 
 // Sweep evaluates every configuration of the space under the job and
@@ -492,8 +388,6 @@ func (m *Machine) leadPoint(ctx context.Context, key cacheKey, pol Policy, ijob 
 // evaluation completes — but the iterator may be abandoned at any point
 // (break), and cancelling ctx aborts the evaluation promptly, yielding
 // exactly one (SweepEntry{}, ctx.Err()) pair.
-//
-// SweepOptions.Run must be nil: the Machine fixes the environment.
 func (m *Machine) Sweep(ctx context.Context, job Job, space Space, opts *SweepOptions) iter.Seq2[SweepEntry, error] {
 	return func(yield func(SweepEntry, error) bool) {
 		res, err := m.sweepAll(ctx, job, space, opts)
@@ -509,8 +403,7 @@ func (m *Machine) Sweep(ctx context.Context, job Job, space Space, opts *SweepOp
 	}
 }
 
-// SweepAll is Sweep collected into a SweepResult — the form the
-// deprecated package-level Sweep wrapper returns.
+// SweepAll is Sweep collected into a SweepResult.
 func (m *Machine) SweepAll(ctx context.Context, job Job, space Space, opts *SweepOptions) (*SweepResult, error) {
 	return m.sweepAll(ctx, job, space, opts)
 }
@@ -523,8 +416,7 @@ func (m *Machine) SweepAll(ctx context.Context, job Job, space Space, opts *Swee
 // is served from the result cache when the configuration was run before.
 // An optional single SweepOptions argument tunes the search (Workers,
 // Progress, and Screen for the two-level coarse → fine search); its Top
-// and Objective are overridden, and Run must be nil as in every Machine
-// sweep.
+// and Objective are overridden.
 func (m *Machine) Optimize(ctx context.Context, job Job, objective Objective, opts ...*SweepOptions) (Placement, *Result, error) {
 	if len(opts) > 1 {
 		return Placement{}, nil, fmt.Errorf("smtbalance: Optimize takes at most one SweepOptions, got %d", len(opts))

@@ -1,7 +1,5 @@
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
 	"context"
 	"errors"
@@ -10,29 +8,6 @@ import (
 	"testing"
 	"time"
 )
-
-func TestMachineRunMatchesWrapper(t *testing.T) {
-	job := sweepTestJob(3000, 12000)
-	m, err := NewMachine(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Run(context.Background(), job, PinInOrder(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(job, PinInOrder(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cycles != want.Cycles || got.ImbalancePct != want.ImbalancePct {
-		t.Errorf("Machine.Run (%d cycles, %.2f%%) differs from Run (%d cycles, %.2f%%)",
-			got.Cycles, got.ImbalancePct, want.Cycles, want.ImbalancePct)
-	}
-	if !reflect.DeepEqual(got.Ranks, want.Ranks) {
-		t.Error("Machine.Run and Run disagree on per-rank summaries")
-	}
-}
 
 func TestMachineRunCache(t *testing.T) {
 	job := sweepTestJob(3000, 12000)
@@ -239,18 +214,6 @@ func TestMachineSweepCancelledYieldsCtxErr(t *testing.T) {
 	}
 }
 
-func TestMachineSweepRejectsRunOptions(t *testing.T) {
-	m, err := NewMachine(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.SweepAll(context.Background(), sweepTestJob(1000, 2000), Space{},
-		&SweepOptions{Run: &Options{NoOSNoise: true}})
-	if err == nil || !strings.Contains(err.Error(), "SweepOptions.Run") {
-		t.Errorf("Machine.SweepAll accepted SweepOptions.Run: %v", err)
-	}
-}
-
 func TestMachineSweepMetricsCacheAcrossObjectives(t *testing.T) {
 	job := sweepTestJob(2000, 8000)
 	m, err := NewMachine(nil)
@@ -277,12 +240,12 @@ func TestMachineSweepMetricsCacheAcrossObjectives(t *testing.T) {
 	if hits := st2.Hits - st.Hits; hits != int64(byImb.Evaluated) {
 		t.Errorf("re-sweep hit the cache %d times for %d points", hits, byImb.Evaluated)
 	}
-	// And the rankings must agree with the uncached wrapper's.
-	wrapper, err := Sweep(job, space, &SweepOptions{Objective: MinimizeImbalance()})
+	// And the rankings must agree with an uncached machine's.
+	fresh, err := sweepWith(nil, job, space, &SweepOptions{Objective: MinimizeImbalance()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(byImb.Entries, wrapper.Entries) {
+	if !reflect.DeepEqual(byImb.Entries, fresh.Entries) {
 		t.Error("cached re-sweep ranking differs from a fresh sweep")
 	}
 }
@@ -428,7 +391,7 @@ func TestSuggestFromLastEdgeCases(t *testing.T) {
 func TestMachineRunLoadDrift(t *testing.T) {
 	job := sweepTestJob(3000, 12000)
 	ctx := context.Background()
-	base, err := Run(job, PinInOrder(4), nil)
+	base, err := runWith(job, PinInOrder(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package smtbalance
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -14,8 +13,6 @@ import (
 // every scenario on every topology.  The paper compares balancers on a
 // handful of hand-built cases; the matrix is that comparison
 // industrialized — "characterize any balancer on any imbalance shape".
-//
-//mtlint:cachekey matrix
 type MatrixSpec struct {
 	// Scenarios is the imbalance-shape axis (at least one).
 	Scenarios []Scenario
@@ -36,14 +33,6 @@ type MatrixOptions struct {
 	// per CPU, 1 forces serial evaluation.  Results are identical for
 	// every value.
 	Workers int
-	// Screen is forwarded to each cell's SweepOptions.Screen.  Today's
-	// cells sweep a single fixed placement per policy (FixPairing at
-	// medium priority), so a shortlist always covers the whole space and
-	// screening cannot change any entry — which is also why the knob is
-	// safely absent from matrixCellKey; it exists so callers (the serve
-	// API, mtbalance matrix -screen) can thread one screening setting
-	// through uniformly, and so future multi-point cells inherit it.
-	Screen int
 	// Progress, if set, observes cell completions with (done, total)
 	// cell counts.
 	Progress func(done, total int)
@@ -109,55 +98,29 @@ func csvQuote(s string) string {
 }
 
 // Matrix is a reusable evaluation-matrix engine: it owns one Machine
-// per topology it has seen (each with its own result cache) and a
-// scenario-aware cell cache, so re-evaluating an overlapping spec — a
-// service answering repeated matrix requests, a sweep extended by one
-// more policy list — replays finished cells from memory.  A Matrix is
-// safe for concurrent use.
+// per topology it has seen, and every cell evaluates its policies
+// through that Machine's outcome store — so re-evaluating an
+// overlapping spec (a service answering repeated matrix requests, a
+// matrix extended by one more policy) replays the finished runs from
+// memory, and identical concurrent cells share one simulation per run.
+// A Matrix is safe for concurrent use.
 //
-// Both stores are bounded with FIFO eviction, like the Machine result
-// cache: a long-lived server answering matrix requests with ever-new
-// scenario parameters or topologies must plateau, not grow without
-// bound.  Eviction only costs a re-evaluation, never correctness.
+// The machine set is bounded with FIFO eviction, like each Machine's
+// result cache: a long-lived server answering matrix requests for ever
+// new topologies must plateau, not grow without bound.  Eviction only
+// costs a re-evaluation, never correctness.
 type Matrix struct {
-	mu        sync.Mutex
-	machines  map[Topology]*Machine      //mtlint:guardedby mu
-	machOrder []Topology                 //mtlint:guardedby mu
-	cells     map[cacheKey][]MatrixEntry //mtlint:guardedby mu
-	cellOrder []cacheKey                 //mtlint:guardedby mu
-	hits      int64                      //mtlint:guardedby mu
-	misses    int64                      //mtlint:guardedby mu
-
-	// flights coalesces identical in-flight cells: two concurrent
-	// requests for the same (topology, scenario, policies) cell share
-	// one evaluation (the underlying per-point runs coalesce through
-	// the Machine cache's own singleflight as well).
-	//
-	//mtlint:unguarded flightGroup synchronizes itself; leaders publish outside mx.mu
-	flights flightGroup[[]MatrixEntry]
+	mu       sync.Mutex
+	machines fifoMap[Topology, *Machine] //mtlint:guardedby mu
 }
 
-// Engine bounds: a machine holds a full result cache (potentially tens
-// of MB of traces), a cell a handful of entries.
-const (
-	matrixMachineCap = 16
-	matrixCellCap    = 1024
-)
+// matrixMachineCap bounds the engine's machine set: a machine holds a
+// full result cache (potentially tens of MB of traces).
+const matrixMachineCap = 16
 
 // NewMatrix returns an empty engine.
 func NewMatrix() *Matrix {
-	return &Matrix{
-		machines: make(map[Topology]*Machine),
-		cells:    make(map[cacheKey][]MatrixEntry),
-	}
-}
-
-// CellStats reports the engine's cell-cache counters: cells served from
-// memory, cells evaluated, and cells currently held.
-func (mx *Matrix) CellStats() (hits, misses int64, cells int) {
-	mx.mu.Lock()
-	defer mx.mu.Unlock()
-	return mx.hits, mx.misses, len(mx.cells)
+	return &Matrix{machines: fifoMap[Topology, *Machine]{cap: matrixMachineCap}}
 }
 
 // machine returns (building if needed) the engine's Machine for a
@@ -165,45 +128,19 @@ func (mx *Matrix) CellStats() (hits, misses int64, cells int) {
 func (mx *Matrix) machine(topo Topology) (*Machine, error) {
 	mx.mu.Lock()
 	defer mx.mu.Unlock()
-	if m, ok := mx.machines[topo]; ok {
+	if m, ok := mx.machines.get(topo); ok {
 		return m, nil
 	}
 	m, err := NewMachine(&Options{Topology: topo})
 	if err != nil {
 		return nil, err
 	}
-	if len(mx.machines) >= matrixMachineCap {
-		evict := mx.machOrder[0]
-		mx.machOrder = mx.machOrder[1:]
-		delete(mx.machines, evict)
-	}
-	mx.machines[topo] = m
-	mx.machOrder = append(mx.machOrder, topo)
+	mx.machines.put(topo, m)
 	return m, nil
 }
 
-// putCell stores a finished cell, evicting the oldest past the cap.
-func (mx *Matrix) putCell(key cacheKey, entries []MatrixEntry) {
-	mx.mu.Lock()
-	defer mx.mu.Unlock()
-	if _, ok := mx.cells[key]; ok {
-		return
-	}
-	if len(mx.cells) >= matrixCellCap {
-		evict := mx.cellOrder[0]
-		mx.cellOrder = mx.cellOrder[1:]
-		delete(mx.cells, evict)
-	}
-	mx.cells[key] = entries
-	mx.cellOrder = append(mx.cellOrder, key)
-}
-
 // resolveSpec validates the spec and returns the effective policy list
-// (static control first when it had to be added) and topology list —
-// the identities matrixCellKey then hashes, so every MatrixSpec axis
-// flows into the cell key through here.
-//
-//mtlint:cachekey-hasher matrix
+// (static control first when it had to be added) and topology list.
 func resolveSpec(spec MatrixSpec) ([]Policy, []Topology, error) {
 	if len(spec.Scenarios) == 0 {
 		return nil, nil, fmt.Errorf("smtbalance: MatrixSpec.Scenarios is empty; ParseScenario(\"uniform\") is the minimal axis")
@@ -253,7 +190,7 @@ func resolveSpec(spec MatrixSpec) ([]Policy, []Topology, error) {
 // evalCell evaluates one (topology, scenario) cell: every policy over
 // the scenario's job, pinned in order at medium priority, fanned
 // through the sweep worker pool, scored against the static control.
-func (mx *Matrix) evalCell(ctx context.Context, topo Topology, sc Scenario, pols []Policy, workers, screen int) ([]MatrixEntry, error) {
+func (mx *Matrix) evalCell(ctx context.Context, topo Topology, sc Scenario, pols []Policy, workers int) ([]MatrixEntry, error) {
 	m, err := mx.machine(topo)
 	if err != nil {
 		return nil, err
@@ -266,7 +203,7 @@ func (mx *Matrix) evalCell(ctx context.Context, topo Topology, sc Scenario, pols
 		FixPairing: true,
 		Priorities: []Priority{PriorityMedium},
 		Policies:   pols,
-	}, &SweepOptions{Workers: workers, Screen: screen})
+	}, &SweepOptions{Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("smtbalance: matrix cell (%s, %s): %w", topo, ScenarioID(sc), err)
 	}
@@ -297,64 +234,11 @@ func (mx *Matrix) evalCell(ctx context.Context, topo Topology, sc Scenario, pols
 	return entries, nil
 }
 
-// cell returns one (topology, scenario) cell's entries through the
-// engine's tiering: the cell cache, then the singleflight group (an
-// identical concurrent request shares the one evaluation in progress —
-// counted as a hit, since no fresh evaluation ran for it), then a real
-// evaluation.  A leader's cancellation is not inherited by a live
-// follower, which retries as the new leader.
-func (mx *Matrix) cell(ctx context.Context, key cacheKey, topo Topology, sc Scenario, pols []Policy, workers, screen int) ([]MatrixEntry, error) {
-	for {
-		mx.mu.Lock()
-		entries, cached := mx.cells[key]
-		if cached {
-			mx.hits++
-		} else {
-			mx.misses++
-		}
-		mx.mu.Unlock()
-		if cached {
-			return entries, nil
-		}
-		f, leader := mx.flights.join(key)
-		if !leader {
-			select {
-			case <-f.done:
-				if f.err == nil {
-					mx.mu.Lock()
-					// The miss counted above was served without a fresh
-					// evaluation after all; reclassify it as a hit.
-					mx.misses--
-					mx.hits++
-					mx.mu.Unlock()
-					return f.val, nil
-				}
-				if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-					return nil, f.err
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		entries, err := mx.evalCell(ctx, topo, sc, pols, workers, screen)
-		if err == nil {
-			mx.putCell(key, entries)
-		}
-		mx.flights.forget(key)
-		f.publish(entries, err)
-		return entries, err
-	}
-}
-
 // Eval evaluates the matrix and streams its entries as an iterator of
 // (entry, error) pairs, in spec order (topology-major, then scenario,
 // then policy — the static control first when it was added implicitly).
 // Entries stream cell by cell as each (topology, scenario) cell
-// finishes; cells replayed from the engine's cache stream immediately.
+// finishes; cells whose runs are all cached stream immediately.
 // On error the iterator yields exactly one (MatrixEntry{}, err) pair;
 // cancelling ctx aborts the evaluation promptly.
 func (mx *Matrix) Eval(ctx context.Context, spec MatrixSpec, opts *MatrixOptions) iter.Seq2[MatrixEntry, error] {
@@ -370,16 +254,11 @@ func (mx *Matrix) Eval(ctx context.Context, spec MatrixSpec, opts *MatrixOptions
 			yield(MatrixEntry{}, err)
 			return
 		}
-		polIDs := make([]string, len(pols))
-		for i, pol := range pols {
-			polIDs[i] = PolicyID(pol)
-		}
 		total := len(topos) * len(spec.Scenarios)
 		done := 0
 		for _, topo := range topos {
 			for _, sc := range spec.Scenarios {
-				key := matrixCellKey(topo, ScenarioID(sc), polIDs)
-				entries, err := mx.cell(ctx, key, topo, sc, pols, opts.Workers, opts.Screen)
+				entries, err := mx.evalCell(ctx, topo, sc, pols, opts.Workers)
 				if err != nil {
 					yield(MatrixEntry{}, err)
 					return
@@ -420,9 +299,9 @@ func (mx *Matrix) EvalAll(ctx context.Context, spec MatrixSpec, opts *MatrixOpti
 var defaultMatrix = sync.OnceValue(NewMatrix)
 
 // EvalMatrix evaluates the matrix on a shared package-level engine and
-// streams its entries; see Matrix.Eval.  Callers wanting an isolated
-// cell cache (or control over its lifetime) should hold their own
-// engine via NewMatrix.
+// streams its entries; see Matrix.Eval.  Callers wanting isolated
+// caches (or control over their lifetime) should hold their own engine
+// via NewMatrix.
 func EvalMatrix(ctx context.Context, spec MatrixSpec, opts *MatrixOptions) iter.Seq2[MatrixEntry, error] {
 	return defaultMatrix().Eval(ctx, spec, opts)
 }

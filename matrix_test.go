@@ -5,6 +5,7 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -91,36 +92,48 @@ func TestEvalMatrixAddsStaticControl(t *testing.T) {
 	}
 }
 
-// Repeating a spec replays cells from the engine cache — and the cached
-// replay is byte-identical.
+// Repeating a spec replays every cell's runs from the engine machine's
+// outcome store: no policy is bound again (so nothing is simulated)
+// and the replay is byte-identical.
 func TestMatrixCellCache(t *testing.T) {
 	mx := NewMatrix()
 	spec := smallMatrixSpec(t)
+	var binds atomic.Int64
+	spec.Policies = append(spec.Policies, bindCountingPolicy{binds: &binds})
 	first, err := mx.EvalAll(t.Context(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, cells := mx.CellStats()
-	if hits != 0 || misses != 2 || cells != 2 {
-		t.Errorf("after first eval: hits=%d misses=%d cells=%d, want 0/2/2", hits, misses, cells)
+	if got := binds.Load(); got != int64(len(spec.Scenarios)) {
+		t.Fatalf("first eval bound the policy %d times, want once per cell (%d)", got, len(spec.Scenarios))
 	}
 	second, err := mx.EvalAll(t.Context(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _, _ := mx.CellStats(); hits != 2 {
-		t.Errorf("after second eval: hits=%d, want 2", hits)
+	if got := binds.Load() - int64(len(spec.Scenarios)); got != 0 {
+		t.Errorf("repeated eval bound the policy %d more times, want 0", got)
 	}
 	if !reflect.DeepEqual(first.Entries, second.Entries) {
 		t.Error("cached replay differs from the original evaluation")
 	}
-	// A different policy list is a different cell key.
+	// A changed policy axis reuses the runs it shares with the old one:
+	// only the new policy simulates.
+	m, err := mx.machine(DefaultTopology())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := func() int64 {
+		st := m.CacheStats()
+		return st.Misses - st.Coalesced - st.DiskHits
+	}
+	before := sims()
 	spec.Policies = []Policy{StaticPolicy{}, &FeedbackPolicy{}}
 	if _, err := mx.EvalAll(t.Context(), spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses, _ := mx.CellStats(); misses != 4 {
-		t.Errorf("changed policy axis: misses=%d, want 4", misses)
+	if got := sims() - before; got != int64(len(spec.Scenarios)) {
+		t.Errorf("changed policy axis simulated %d runs, want %d (the new policy's only)", got, len(spec.Scenarios))
 	}
 }
 

@@ -113,7 +113,7 @@ func TestMetamorphicZeroSkewRampEqualsUniform(t *testing.T) {
 	if !reflect.DeepEqual(ramp.Ranks, uniform.Ranks) {
 		t.Errorf("ramp(skew=1) programs differ from uniform's:\nramp:    %+v\nuniform: %+v", ramp.Ranks, uniform.Ranks)
 	}
-	if a, b := envJobKey(topo, Options{}, nil, ramp), envJobKey(topo, Options{}, nil, uniform); a != b {
+	if a, b := envJobKey(Options{Topology: topo}, ramp), envJobKey(Options{Topology: topo}, uniform); a != b {
 		t.Errorf("ramp(skew=1) and uniform hash to different cache keys: %x vs %x", a[:8], b[:8])
 	}
 }

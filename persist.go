@@ -4,12 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
-// This file defines the on-disk record forms of the result cache's two
-// layers.  Records are JSON for debuggability (an operator can cat a
+// This file defines the on-disk record form of the result cache's
+// outcomes.  Records are JSON for debuggability (an operator can cat a
 // cache entry), and every numeric field round-trips exactly —
 // encoding/json emits the shortest float64 representation that decodes
 // to the same bits — so a result revived from disk is indistinguishable
@@ -40,55 +39,48 @@ type diskRank struct {
 	Instructions int64   `json:"instructions"`
 }
 
-// diskResult is a full Result on disk, trace included.
+// diskResult is a Result on disk.  A full record (kind "run") carries
+// the ranks and the trace; a metrics-only record (kind "met") omits
+// everything but seconds, cycles and imbalance_pct.  Records are keyed by
+// name, so the older met form, {"cycles","seconds","imbalance_pct"},
+// decodes unchanged.
 type diskResult struct {
 	Seconds       float64          `json:"seconds"`
 	Cycles        int64            `json:"cycles"`
 	ImbalancePct  float64          `json:"imbalance_pct"`
-	Iterations    int              `json:"iterations"`
+	Iterations    int              `json:"iterations,omitempty"`
 	BalancerMoves int              `json:"balancer_moves,omitempty"`
 	Policy        string           `json:"policy,omitempty"`
 	SkippedCycles int64            `json:"skipped_cycles,omitempty"`
-	Ranks         []diskRank       `json:"ranks"`
-	TraceEnd      int64            `json:"trace_end"`
-	Trace         [][]diskInterval `json:"trace"`
+	Ranks         []diskRank       `json:"ranks,omitempty"`
+	TraceEnd      int64            `json:"trace_end,omitempty"`
+	Trace         [][]diskInterval `json:"trace,omitempty"`
 }
 
-// diskMetrics is a sweep-point metrics record on disk.
-type diskMetrics struct {
-	Cycles       int64   `json:"cycles"`
-	Seconds      float64 `json:"seconds"`
-	ImbalancePct float64 `json:"imbalance_pct"`
-}
-
-// encodeResult renders a Result as its disk record.  Results without a
-// trace are not persistable (the record would revive incompletely) and
-// report ok=false.
-func encodeResult(r *Result) (data []byte, ok bool) {
-	if r.tr == nil {
-		return nil, false
-	}
-	rec := diskResult{
-		Seconds:       r.Seconds,
-		Cycles:        r.Cycles,
-		ImbalancePct:  r.ImbalancePct,
-		Iterations:    r.Iterations,
-		BalancerMoves: r.BalancerMoves,
-		Policy:        r.Policy,
-		SkippedCycles: r.SkippedCycles,
-		TraceEnd:      r.tr.End(),
-	}
-	for _, rs := range r.Ranks {
-		rec.Ranks = append(rec.Ranks, diskRank{
-			CPU: rs.CPU, Core: rs.Core, Chip: rs.Chip, Priority: int(rs.Priority),
-			ComputePct: rs.ComputePct, SyncPct: rs.SyncPct, CommPct: rs.CommPct,
-			Instructions: rs.Instructions,
-		})
-	}
-	rec.Trace = make([][]diskInterval, r.tr.NumRanks())
-	for i := 0; i < r.tr.NumRanks(); i++ {
-		for _, iv := range r.tr.Intervals(i) {
-			rec.Trace[i] = append(rec.Trace[i], diskInterval{S: uint8(iv.State), F: iv.From, T: iv.To})
+// encodeResult renders a Result as its full disk record, or as its
+// metrics-only record when full is false.  A full record needs the
+// trace: a result without one is not persistable (the record would
+// revive incompletely) and reports ok=false.
+func encodeResult(r *Result, full bool) (data []byte, ok bool) {
+	rec := diskResult{Seconds: r.Seconds, Cycles: r.Cycles, ImbalancePct: r.ImbalancePct}
+	if full {
+		if r.tr == nil {
+			return nil, false
+		}
+		rec.Iterations, rec.BalancerMoves = r.Iterations, r.BalancerMoves
+		rec.Policy, rec.SkippedCycles, rec.TraceEnd = r.Policy, r.SkippedCycles, r.tr.End()
+		for _, rs := range r.Ranks {
+			rec.Ranks = append(rec.Ranks, diskRank{
+				CPU: rs.CPU, Core: rs.Core, Chip: rs.Chip, Priority: int(rs.Priority),
+				ComputePct: rs.ComputePct, SyncPct: rs.SyncPct, CommPct: rs.CommPct,
+				Instructions: rs.Instructions,
+			})
+		}
+		rec.Trace = make([][]diskInterval, r.tr.NumRanks())
+		for i := 0; i < r.tr.NumRanks(); i++ {
+			for _, iv := range r.tr.Intervals(i) {
+				rec.Trace[i] = append(rec.Trace[i], diskInterval{S: uint8(iv.State), F: iv.From, T: iv.To})
+			}
 		}
 	}
 	data, err := json.Marshal(rec)
@@ -98,13 +90,17 @@ func encodeResult(r *Result) (data []byte, ok bool) {
 	return data, true
 }
 
-// decodeResult revives a Result from its disk record.  Any
-// inconsistency — bad JSON, an invalid trace — is an error; callers
-// treat it as a cache miss and re-simulate.
-func decodeResult(data []byte) (*Result, error) {
+// decodeResult revives a Result from its full disk record, or its
+// metrics from a metrics-only record when full is false.  Any
+// inconsistency — bad JSON, a missing or invalid trace — is an error;
+// callers treat it as a cache miss and re-simulate.
+func decodeResult(data []byte, full bool) (*Result, error) {
 	var rec diskResult
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return nil, fmt.Errorf("smtbalance: corrupt result record: %w", err)
+	}
+	if !full {
+		return &Result{Seconds: rec.Seconds, Cycles: rec.Cycles, ImbalancePct: rec.ImbalancePct}, nil
 	}
 	ranks := make([][]trace.Interval, len(rec.Trace))
 	for i, ivs := range rec.Trace {
@@ -134,22 +130,4 @@ func decodeResult(data []byte) (*Result, error) {
 		})
 	}
 	return out, nil
-}
-
-// encodeMetrics renders a sweep-point metrics record.
-func encodeMetrics(m sweep.Metrics) []byte {
-	data, err := json.Marshal(diskMetrics{Cycles: m.Cycles, Seconds: m.Seconds, ImbalancePct: m.ImbalancePct})
-	if err != nil {
-		panic(err) // unreachable: three scalars
-	}
-	return data
-}
-
-// decodeMetrics revives a sweep-point metrics record.
-func decodeMetrics(data []byte) (sweep.Metrics, error) {
-	var rec diskMetrics
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return sweep.Metrics{}, fmt.Errorf("smtbalance: corrupt metrics record: %w", err)
-	}
-	return sweep.Metrics{Cycles: rec.Cycles, Seconds: rec.Seconds, ImbalancePct: rec.ImbalancePct}, nil
 }

@@ -393,12 +393,11 @@ func (StaticPolicy) Observe(IterationStats) []PriorityAction { return nil }
 // Bind implements PolicyBinder; StaticPolicy is stateless.
 func (StaticPolicy) Bind(Topology, Placement) Policy { return StaticPolicy{} }
 
-// PaperDynamic is the paper's Section VIII proposal, extracted from the
-// old Options.DynamicBalance knob: at every barrier release it compares
-// the computation times of the two ranks of each core and, once the
-// imbalance points the same way for Hysteresis iterations, shifts the
-// pair's priority difference one step toward the laggard, backing off
-// when the imbalance inverts.
+// PaperDynamic is the paper's Section VIII proposal: at every barrier
+// release it compares the computation times of the two ranks of each
+// core and, once the imbalance points the same way for Hysteresis
+// iterations, shifts the pair's priority difference one step toward the
+// laggard, backing off when the imbalance inverts.
 type PaperDynamic struct {
 	// MaxDiff bounds the priority difference (default 1; the paper's
 	// Case D shows why large differences are dangerous).

@@ -1,7 +1,5 @@
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
 	"context"
 	"reflect"
@@ -126,39 +124,6 @@ func TestParsePolicyUnknownNameListsRegistered(t *testing.T) {
 	}
 }
 
-// TestDeprecatedDynamicBalanceMatchesPaperDynamic is the regression the
-// redesign promises: the deprecated knobs are a pure alias for the
-// extracted PaperDynamic policy.
-func TestDeprecatedDynamicBalanceMatchesPaperDynamic(t *testing.T) {
-	job := iterativeJob("alias", []int64{8000, 32000, 8000, 32000}, 10)
-	pl := PinInOrder(4)
-	old, err := Run(job, pl, &Options{NoOSNoise: true, DynamicBalance: true, MaxPriorityDiff: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := Run(job, pl, &Options{NoOSNoise: true, Policy: &PaperDynamic{MaxDiff: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Cycles != pol.Cycles || old.Seconds != pol.Seconds || old.ImbalancePct != pol.ImbalancePct {
-		t.Errorf("deprecated path diverged: cycles %d vs %d, imbalance %.4f vs %.4f",
-			old.Cycles, pol.Cycles, old.ImbalancePct, pol.ImbalancePct)
-	}
-	if old.BalancerMoves != pol.BalancerMoves || old.BalancerMoves == 0 {
-		t.Errorf("moves diverged: %d vs %d", old.BalancerMoves, pol.BalancerMoves)
-	}
-	if old.Policy != pol.Policy || old.Policy != "dyn(hysteresis=2,maxdiff=2,threshold=0.05)" {
-		t.Errorf("resolved policy diverged: %q vs %q", old.Policy, pol.Policy)
-	}
-	if !reflect.DeepEqual(old.Ranks, pol.Ranks) {
-		t.Error("per-rank summaries diverged")
-	}
-
-	if _, err := Run(job, pl, &Options{DynamicBalance: true, Policy: StaticPolicy{}}); err == nil {
-		t.Error("Policy together with DynamicBalance accepted")
-	}
-}
-
 // TestPaperDynamicHighCorePlacement: pairs pinned to high core indices
 // (here core 2, the second chip's first core) must be managed too — the
 // pair discovery walks cores up to the highest one used, not the rank
@@ -167,14 +132,14 @@ func TestPaperDynamicHighCorePlacement(t *testing.T) {
 	job := iterativeJob("highcore", []int64{8000, 32000}, 10)
 	pl := Placement{CPU: []int{4, 5}, Priority: []Priority{PriorityMedium, PriorityMedium}}
 	topo := Topology{Chips: 2, CoresPerChip: 2, SMTWays: 2}
-	dyn, err := Run(job, pl, &Options{NoOSNoise: true, Topology: topo, Policy: &PaperDynamic{MaxDiff: 2}})
+	dyn, err := runWith(job, pl, &Options{NoOSNoise: true, Topology: topo, Policy: &PaperDynamic{MaxDiff: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dyn.BalancerMoves == 0 {
 		t.Error("PaperDynamic never moved for a pair on core 2")
 	}
-	static, err := Run(job, pl, &Options{NoOSNoise: true, Topology: topo})
+	static, err := runWith(job, pl, &Options{NoOSNoise: true, Topology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +154,11 @@ func TestPaperDynamicHighCorePlacement(t *testing.T) {
 func TestVanillaKernelDisarmsPolicies(t *testing.T) {
 	job := iterativeJob("vanilla", []int64{8000, 32000}, 8)
 	pl := PinInOrder(2)
-	base, err := Run(job, pl, &Options{VanillaKernel: true, NoOSNoise: true})
+	base, err := runWith(job, pl, &Options{VanillaKernel: true, NoOSNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := Run(job, pl, &Options{VanillaKernel: true, NoOSNoise: true, Policy: &PaperDynamic{MaxDiff: 2}})
+	dyn, err := runWith(job, pl, &Options{VanillaKernel: true, NoOSNoise: true, Policy: &PaperDynamic{MaxDiff: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +178,7 @@ func TestVanillaKernelDisarmsPolicies(t *testing.T) {
 func TestPolicyCacheKeyIdentity(t *testing.T) {
 	job := iterativeJob("key", []int64{1000, 2000}, 1)
 	base := Options{}
-	key := func(opts Options) [32]byte {
-		pol, err := opts.resolvePolicy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return envJobKey(opts.Topology, opts, pol, job)
-	}
+	key := func(opts Options) [32]byte { return envJobKey(opts, job) }
 
 	k0 := key(base)
 	seen := map[[32]byte]string{k0: "default"}
@@ -244,14 +203,6 @@ func TestPolicyCacheKeyIdentity(t *testing.T) {
 			t.Errorf("cache key collision: %q and %q hash identically", v.label, prev)
 		}
 		seen[k] = v.label
-	}
-
-	// The deprecated knobs must alias their policy spelling — same key,
-	// so a Machine serving both forms shares cache entries.
-	dep := key(Options{DynamicBalance: true, MaxPriorityDiff: 2})
-	pol := key(Options{Policy: &PaperDynamic{MaxDiff: 2}})
-	if dep != pol {
-		t.Error("deprecated DynamicBalance and PaperDynamic split the cache key")
 	}
 
 	// The key hashes policy identity structurally, so two custom
@@ -357,16 +308,8 @@ func TestPolicySweepRejectsBadPolicies(t *testing.T) {
 	if _, err := m.SweepAll(ctx, job, Space{Policies: []Policy{unboundPolicy{}}}, nil); err == nil || !strings.Contains(err.Error(), "PolicyBinder") {
 		t.Errorf("non-bindable policy in sweep: err = %v", err)
 	}
-	// The deprecated machine-level DynamicBalance knob keeps its
-	// original sweep rejection; a machine-level Policy may not be
-	// combined with a policy axis (ambiguous intent).
-	mdep, err := NewMachine(&Options{DynamicBalance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mdep.SweepAll(ctx, job, Space{}, nil); err == nil || !strings.Contains(err.Error(), "DynamicBalance") {
-		t.Errorf("machine-level DynamicBalance in sweep: err = %v", err)
-	}
+	// A machine-level Policy may not be combined with a policy axis
+	// (ambiguous intent).
 	mp, err := NewMachine(&Options{Policy: &PaperDynamic{}})
 	if err != nil {
 		t.Fatal(err)

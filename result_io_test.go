@@ -1,7 +1,5 @@
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
 	"fmt"
 	"strings"
@@ -33,7 +31,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // smallResult runs a tiny deterministic job for the trace writer tests.
 func smallResult(t *testing.T) *Result {
 	t.Helper()
-	res, err := Run(sweepTestJob(1500, 6000), PinInOrder(4), &Options{NoOSNoise: true})
+	res, err := runWith(sweepTestJob(1500, 6000), PinInOrder(4), &Options{NoOSNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +106,7 @@ func TestWriteParaverErrorPropagation(t *testing.T) {
 }
 
 func TestSweepWriteCSVFormatting(t *testing.T) {
-	res, err := Sweep(sweepTestJob(1500, 6000), Space{FixPairing: true,
+	res, err := sweepWith(nil, sweepTestJob(1500, 6000), Space{FixPairing: true,
 		Priorities: []Priority{PriorityMedium, PriorityHigh}}, &SweepOptions{Top: 2})
 	if err != nil {
 		t.Fatal(err)

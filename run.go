@@ -84,7 +84,7 @@ type Placement struct {
 
 // PinInOrder pins rank i to CPU i at medium priority — the paper's
 // reference configuration (Case A).  The placement is topology-agnostic:
-// Run validates it against the run's Options.Topology and returns a
+// Machine.Run validates it against the machine's topology and returns a
 // descriptive error if n exceeds that machine's context count.  To
 // validate eagerly against a known machine, use Topology.PinInOrder.
 func PinInOrder(n int) Placement {
@@ -161,26 +161,8 @@ type Options struct {
 	// priority rewrites are applied through the patched kernel's procfs
 	// interface (so a VanillaKernel run makes every policy inert).  See
 	// the Policy interface, the built-ins (StaticPolicy, PaperDynamic,
-	// HierarchicalPolicy, FeedbackPolicy) and ParsePolicy.  Setting both
-	// Policy and the deprecated DynamicBalance is an error.
+	// HierarchicalPolicy, FeedbackPolicy) and ParsePolicy.
 	Policy Policy
-	// DynamicBalance attaches the online OS-level balancer (the paper's
-	// Section VIII proposal): it watches per-iteration computation times
-	// and retunes priorities through the procfs interface.
-	//
-	// Deprecated: DynamicBalance is the pre-policy spelling of
-	// Policy: &PaperDynamic{MaxDiff: MaxPriorityDiff} and resolves to
-	// exactly that policy; results are identical.  New code should set
-	// Policy.
-	DynamicBalance bool
-	// MaxPriorityDiff bounds the dynamic balancer's priority difference
-	// (default 1; the paper's Case D shows why large differences are
-	// dangerous).
-	//
-	// Deprecated: MaxPriorityDiff parameterizes the deprecated
-	// DynamicBalance knob only; set Policy: &PaperDynamic{MaxDiff: n}
-	// instead.
-	MaxPriorityDiff int
 	// OnIteration, if set, is called at every barrier release.
 	//
 	//mtlint:cachekey-exempt presence disables result caching entirely (Machine.Run), so no cached entry can ever alias a hooked run
@@ -323,45 +305,6 @@ func (opts *Options) simConfig() mpisim.Config {
 	return cfg
 }
 
-// Run executes the job under the placement on the machine described by
-// Options.Topology (the paper's single chip by default).
-//
-// Deprecated: Run is a thin wrapper over a Machine — the shared default
-// Machine for nil opts (whose bounded result cache then memoizes
-// repeated configurations process-wide; Machine.ClearCache exists for
-// callers who hold their own), a transient one otherwise.  New code
-// should build a Machine once with NewMachine and call Machine.Run,
-// which adds context cancellation and result caching.
-//
-//mtlint:ctx-root deprecated ctx-less wrapper; Machine.Run is the cancellable form
-func Run(job Job, pl Placement, opts *Options) (*Result, error) {
-	m, err := machineFor(opts)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(context.Background(), job, pl)
-}
-
-// resolvePolicy returns the run's balancing policy (nil means none),
-// honoring the deprecated DynamicBalance/MaxPriorityDiff knobs, which
-// resolve to the extracted PaperDynamic built-in with identical
-// behavior.  The resolved policy is what envJobKey hashes, so the three
-// policy-selecting fields flow into the cache key through here.
-//
-//mtlint:cachekey-hasher run
-func (opts *Options) resolvePolicy() (Policy, error) {
-	if opts.Policy != nil {
-		if opts.DynamicBalance {
-			return nil, fmt.Errorf("smtbalance: Options.Policy and the deprecated Options.DynamicBalance are mutually exclusive")
-		}
-		return opts.Policy, nil
-	}
-	if opts.DynamicBalance {
-		return &PaperDynamic{MaxDiff: opts.MaxPriorityDiff}, nil
-	}
-	return nil, nil
-}
-
 // policyCacheable reports whether runs under pol may be memoized: a nil
 // policy is trivially deterministic, and a PolicyBinder starts every run
 // from a fresh bound instance.  A bare Policy may carry hidden cross-run
@@ -424,27 +367,29 @@ func policyHook(cfg *mpisim.Config, pol Policy, topo Topology, pl Placement, onI
 	return moves
 }
 
-// runSim executes one simulation under the options with the resolved
-// balancing policy, uncached.  The placement must already be validated
-// against opts.Topology.
-func runSim(ctx context.Context, job Job, pl Placement, opts *Options, pol Policy) (*Result, error) {
+// runSim executes one simulation under the options, with their
+// balancing policy attached, uncached — every simulation the package
+// runs goes through here.  The placement must already be validated
+// against opts.Topology.  An error caused by ctx's cancellation is
+// returned as the bare ctx.Err().
+func runSim(ctx context.Context, job Job, pl Placement, opts *Options) (*Result, error) {
 	inner := job.inner()
 	ipl, err := pl.inner()
 	if err != nil {
 		return nil, err
 	}
 	cfg := opts.simConfig()
-	moves := policyHook(&cfg, pol, opts.Topology, pl, opts.OnIteration)
+	moves := policyHook(&cfg, opts.Policy, opts.Topology, pl, opts.OnIteration)
 	res, err := mpisim.RunCtx(ctx, inner, ipl, cfg)
 	if err != nil {
-		return nil, err
+		return nil, ctxErrOf(ctx, err)
 	}
 	out := &Result{
 		Seconds:       res.Seconds,
 		Cycles:        res.Cycles,
 		ImbalancePct:  res.Imbalance,
 		Iterations:    res.Iterations,
-		Policy:        PolicyID(pol),
+		Policy:        PolicyID(opts.Policy),
 		SkippedCycles: res.SkippedCycles,
 		tr:            res.Trace,
 	}

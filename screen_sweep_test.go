@@ -210,39 +210,6 @@ func TestScreenedSweepPolicyAxis(t *testing.T) {
 	}
 }
 
-// TestScreenedMatrixIdentical: matrix cells sweep a single fixed
-// placement per policy, so forwarding a screening budget must not change
-// a single entry — the guarantee that lets MatrixOptions.Screen stay out
-// of the matrix cache key.
-func TestScreenedMatrixIdentical(t *testing.T) {
-	spec := MatrixSpec{
-		Scenarios:  []Scenario{mustParseScenario(t, "uniform,base=5000,iters=3"), mustParseScenario(t, "ramp,base=5000,iters=3")},
-		Policies:   []Policy{StaticPolicy{}, &PaperDynamic{}},
-		Topologies: []Topology{DefaultTopology()},
-	}
-	plain, err := EvalMatrixAll(t.Context(), spec, &MatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withScreen, err := EvalMatrixAll(t.Context(), spec, &MatrixOptions{Screen: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Entries, withScreen.Entries) {
-		t.Errorf("screening budget changed matrix entries:\nplain: %+v\nscreened: %+v",
-			plain.Entries, withScreen.Entries)
-	}
-}
-
-func mustParseScenario(t *testing.T, spec string) Scenario {
-	t.Helper()
-	sc, err := ParseScenario(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
-
 // TestSweepScreenValidation pins the Screen knob's edges: negative is an
 // error, and a budget at least the space size degenerates to the
 // exhaustive sweep (nothing screened).
@@ -276,7 +243,10 @@ func TestSweepScreenValidation(t *testing.T) {
 // otherwise turn the comparison into map lookups), gates winner
 // identity on every sample, and on the 486-point space gates a ≥ 3×
 // median wall-clock speedup — the tentpole claim, guarded by CI's bench
-// smoke.  Record with the README recipe into BENCH_screen_baseline.json.
+// smoke.  Screened sweeps are recorded end to end by `bash
+// perfbench/run.sh --workload sweep-phaseskip` (throughput_per_s; with
+// --trace 1 also sweep.points_screened, core.screen_ms and
+// core.winner_kept).
 func BenchmarkScreenedSweep(b *testing.B) {
 	job := Job{Name: "btmz-screened"}
 	for r, n := range []int64{3960, 5280, 14740, 22000} {

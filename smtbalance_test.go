@@ -1,11 +1,29 @@
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// runWith runs the job on a fresh Machine built from opts, so nothing
+// is served from an earlier test's cache.
+func runWith(job Job, pl Placement, opts *Options) (*Result, error) {
+	m, err := NewMachine(opts)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(context.Background(), job, pl)
+}
+
+// sweepWith sweeps the space on a fresh Machine built from env.
+func sweepWith(env *Options, job Job, space Space, opts *SweepOptions) (*SweepResult, error) {
+	m, err := NewMachine(env)
+	if err != nil {
+		return nil, err
+	}
+	return m.SweepAll(context.Background(), job, space, opts)
+}
 
 func demoJob(light, heavy int64) Job {
 	return Job{Name: "demo", Ranks: [][]Phase{
@@ -67,7 +85,7 @@ func TestKernelKinds(t *testing.T) {
 }
 
 func TestRunBasic(t *testing.T) {
-	res, err := Run(demoJob(10000, 40000), PinInOrder(4), &Options{NoOSNoise: true})
+	res, err := runWith(demoJob(10000, 40000), PinInOrder(4), &Options{NoOSNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +117,11 @@ func TestRunBasic(t *testing.T) {
 // TestManualPriorityBalancing is the paper's headline via the public API.
 func TestManualPriorityBalancing(t *testing.T) {
 	job := demoJob(10000, 40000)
-	base, err := Run(job, PinInOrder(4), &Options{NoOSNoise: true})
+	base, err := runWith(job, PinInOrder(4), &Options{NoOSNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := Run(job, Placement{
+	tuned, err := runWith(job, Placement{
 		CPU:      []int{0, 1, 2, 3},
 		Priority: []Priority{PriorityMedium, PriorityHigh, PriorityMedium, PriorityHigh},
 	}, &Options{NoOSNoise: true})
@@ -143,11 +161,11 @@ func TestSuggestPlacement(t *testing.T) {
 	}
 	// The suggested placement must beat the naive one.
 	job := demoJob(10000, 40000)
-	base, err := Run(job, PinInOrder(4), &Options{NoOSNoise: true})
+	base, err := runWith(job, PinInOrder(4), &Options{NoOSNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := Run(job, pl, &Options{NoOSNoise: true})
+	planned, err := runWith(job, pl, &Options{NoOSNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +192,14 @@ func TestDynamicBalanceOption(t *testing.T) {
 		job.Ranks = append(job.Ranks, prog)
 	}
 	var iters int
-	base, err := Run(job, PinInOrder(4), &Options{NoOSNoise: true})
+	base, err := runWith(job, PinInOrder(4), &Options{NoOSNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := Run(job, PinInOrder(4), &Options{
-		NoOSNoise:       true,
-		DynamicBalance:  true,
-		MaxPriorityDiff: 2,
-		OnIteration:     func(IterationStats) { iters++ },
+	dyn, err := runWith(job, PinInOrder(4), &Options{
+		NoOSNoise:   true,
+		Policy:      &PaperDynamic{MaxDiff: 2},
+		OnIteration: func(IterationStats) { iters++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,11 +224,11 @@ func TestVanillaKernelOption(t *testing.T) {
 		CPU:      []int{0, 1, 2, 3},
 		Priority: []Priority{PriorityMedium, PriorityHigh, PriorityMedium, PriorityHigh},
 	}
-	patched, err := Run(job, pl, nil)
+	patched, err := runWith(job, pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vanilla, err := Run(job, pl, &Options{VanillaKernel: true})
+	vanilla, err := runWith(job, pl, &Options{VanillaKernel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +239,10 @@ func TestVanillaKernelOption(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	job := demoJob(100, 100)
-	if _, err := Run(job, Placement{CPU: []int{0, 1, 2, 3}, Priority: []Priority{9, 4, 4, 4}}, nil); err == nil {
+	if _, err := runWith(job, Placement{CPU: []int{0, 1, 2, 3}, Priority: []Priority{9, 4, 4, 4}}, nil); err == nil {
 		t.Error("invalid priority accepted")
 	}
-	if _, err := Run(Job{}, Placement{}, nil); err == nil {
+	if _, err := runWith(Job{}, Placement{}, nil); err == nil {
 		t.Error("empty job accepted")
 	}
 }
@@ -235,7 +252,7 @@ func TestComputeSized(t *testing.T) {
 		{ComputeSized("l1", 5000, 4096), Barrier()},
 		{ComputeSized("l1", 5000, 4096), Barrier()},
 	}}
-	if _, err := Run(job, PinInOrder(2), &Options{NoOSNoise: true}); err != nil {
+	if _, err := runWith(job, PinInOrder(2), &Options{NoOSNoise: true}); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {

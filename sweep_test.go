@@ -1,7 +1,5 @@
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
 	"context"
 	"reflect"
@@ -22,11 +20,11 @@ func sweepTestJob(light, heavy int64) Job {
 func TestSweepPublicDeterminism(t *testing.T) {
 	job := sweepTestJob(3000, 12000)
 	space := Space{Priorities: []Priority{PriorityMedium, PriorityHigh}}
-	serial, err := Sweep(job, space, &SweepOptions{Workers: 1})
+	serial, err := sweepWith(nil, job, space, &SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(job, space, &SweepOptions{Workers: 8})
+	parallel, err := sweepWith(nil, job, space, &SweepOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +38,7 @@ func TestSweepPublicDeterminism(t *testing.T) {
 
 func TestSweepFixPairing(t *testing.T) {
 	job := sweepTestJob(2000, 8000)
-	res, err := Sweep(job, Space{FixPairing: true,
+	res, err := sweepWith(nil, job, Space{FixPairing: true,
 		Priorities: []Priority{PriorityMedium, PriorityHigh}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +55,11 @@ func TestSweepFixPairing(t *testing.T) {
 
 func TestSweepBeatsDefaultPlacement(t *testing.T) {
 	job := sweepTestJob(3000, 12000)
-	base, err := Run(job, PinInOrder(4), nil)
+	base, err := runWith(job, PinInOrder(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sweep(job, UserSettableSpace(), &SweepOptions{Top: 3})
+	res, err := sweepWith(nil, job, UserSettableSpace(), &SweepOptions{Top: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +79,11 @@ func TestSweepBeatsDefaultPlacement(t *testing.T) {
 func TestSweepObjectives(t *testing.T) {
 	job := sweepTestJob(2000, 8000)
 	space := Space{FixPairing: true, Priorities: []Priority{PriorityMedium, PriorityHigh}}
-	byImb, err := Sweep(job, space, &SweepOptions{Objective: MinimizeImbalance()})
+	byImb, err := sweepWith(nil, job, space, &SweepOptions{Objective: MinimizeImbalance()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCyc, err := Sweep(job, space, &SweepOptions{Objective: MinimizeCycles()})
+	byCyc, err := sweepWith(nil, job, space, &SweepOptions{Objective: MinimizeCycles()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +101,14 @@ func TestSweepObjectives(t *testing.T) {
 
 func TestSweepRejectsDynamicOptions(t *testing.T) {
 	job := sweepTestJob(1000, 2000)
-	if _, err := Sweep(job, Space{}, &SweepOptions{Run: &Options{DynamicBalance: true}}); err == nil {
-		t.Error("DynamicBalance accepted in a sweep")
-	}
-	if _, err := Sweep(job, Space{}, &SweepOptions{Run: &Options{OnIteration: func(IterationStats) {}}}); err == nil {
+	if _, err := sweepWith(&Options{OnIteration: func(IterationStats) {}}, job, Space{}, nil); err == nil {
 		t.Error("OnIteration accepted in a sweep")
 	}
-	if _, err := Sweep(job, Space{Priorities: []Priority{Priority(9)}}, nil); err == nil {
+	if _, err := sweepWith(nil, job, Space{Priorities: []Priority{Priority(9)}}, nil); err == nil {
 		t.Error("invalid priority accepted in a space")
 	}
 	odd := Job{Ranks: job.Ranks[:3]}
-	if _, err := Sweep(odd, Space{}, nil); err == nil {
+	if _, err := sweepWith(nil, odd, Space{}, nil); err == nil {
 		t.Error("odd rank count accepted")
 	}
 }
@@ -124,7 +119,7 @@ func TestSweepFailedRunsErrorRegardlessOfTop(t *testing.T) {
 	// A 1-cycle budget starves every configuration; the sweep must
 	// report that whether or not truncation would hide the failures.
 	for _, top := range []int{0, 2} {
-		_, err := Sweep(job, space, &SweepOptions{Top: top, Run: &Options{MaxCycles: 1}})
+		_, err := sweepWith(&Options{MaxCycles: 1}, job, space, &SweepOptions{Top: top})
 		if err == nil {
 			t.Errorf("Top=%d: sweep with failing runs returned no error", top)
 		} else if !strings.Contains(err.Error(), "16 of 16") {
@@ -135,7 +130,7 @@ func TestSweepFailedRunsErrorRegardlessOfTop(t *testing.T) {
 
 func TestSweepWriteCSV(t *testing.T) {
 	job := sweepTestJob(1500, 6000)
-	res, err := Sweep(job, Space{FixPairing: true,
+	res, err := sweepWith(nil, job, Space{FixPairing: true,
 		Priorities: []Priority{PriorityMedium, PriorityHigh}}, &SweepOptions{Top: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -158,11 +153,15 @@ func TestSweepWriteCSV(t *testing.T) {
 
 func TestOptimizePlacement(t *testing.T) {
 	job := sweepTestJob(1500, 6000)
-	base, err := Run(job, PinInOrder(4), nil)
+	base, err := runWith(job, PinInOrder(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, res, err := OptimizePlacement(job, MinimizeCycles())
+	m, err := NewMachine(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, res, err := m.Optimize(context.Background(), job, MinimizeCycles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestOptimizePlacement(t *testing.T) {
 			res.Cycles, base.Cycles)
 	}
 	// The result must be the winner's actual run, not an estimate.
-	rerun, err := Run(job, pl, nil)
+	rerun, err := runWith(job, pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestOptimizePlacement(t *testing.T) {
 }
 
 // TestOptimizePlacementThreadsOptions is the regression test for the
-// options-dropping bug: OptimizePlacement used to re-run the winning
+// options-dropping bug: optimization used to re-run the winning
 // placement with nil options, so a sweep over a non-default
 // Options.Topology re-ran its winner on the 1×2×2 default machine —
 // failing outright when the winner used a CPU past 3, silently
@@ -195,7 +194,11 @@ func TestOptimizePlacementThreadsOptions(t *testing.T) {
 	topo := Topology{Chips: 2, CoresPerChip: 2, SMTWays: 2}
 	opts := &Options{Topology: topo, NoOSNoise: true}
 	job := sweepTestJob(200, 800)
-	pl, res, err := OptimizePlacement(job, MinimizeCycles(), &SweepOptions{Run: opts})
+	m, err := NewMachine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, res, err := m.Optimize(context.Background(), job, MinimizeCycles())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,7 @@ func TestOptimizePlacementThreadsOptions(t *testing.T) {
 	}
 	// The returned Result must be the winner's run under the sweep's own
 	// environment: re-running it there reproduces it exactly.
-	rerun, err := Run(job, pl, opts)
+	rerun, err := runWith(job, pl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +223,8 @@ func TestOptimizePlacementThreadsOptions(t *testing.T) {
 			t.Errorf("rank %d reports chip %d, want %d — result not from the 2-chip machine", i, rr.Chip, wantChip)
 		}
 	}
-	if _, _, err := OptimizePlacement(job, MinimizeCycles(), nil, nil); err == nil {
-		t.Error("OptimizePlacement accepted two SweepOptions arguments")
+	if _, _, err := m.Optimize(context.Background(), job, MinimizeCycles(), nil, nil); err == nil {
+		t.Error("Optimize accepted two SweepOptions arguments")
 	}
 }
 
@@ -232,7 +235,7 @@ func TestOptimizePlacementThreadsOptions(t *testing.T) {
 func TestSweepValidatesRankCountUpFront(t *testing.T) {
 	odd := Job{Name: "odd", Ranks: sweepTestJob(1000, 2000).Ranks[:3]}
 	for _, space := range []Space{{}, {FixPairing: true}} {
-		_, err := Sweep(odd, space, nil)
+		_, err := sweepWith(nil, odd, space, nil)
 		if err == nil {
 			t.Fatalf("odd rank count accepted (FixPairing=%v)", space.FixPairing)
 		}
@@ -244,7 +247,7 @@ func TestSweepValidatesRankCountUpFront(t *testing.T) {
 	six := sweepTestJob(1000, 2000)
 	six.Ranks = append(six.Ranks, six.Ranks[0], six.Ranks[1])
 	for _, space := range []Space{{}, {FixPairing: true}} {
-		_, err := Sweep(six, space, nil)
+		_, err := sweepWith(nil, six, space, nil)
 		if err == nil {
 			t.Fatalf("6 ranks on the 4-context default accepted (FixPairing=%v)", space.FixPairing)
 		}
@@ -255,7 +258,7 @@ func TestSweepValidatesRankCountUpFront(t *testing.T) {
 		}
 	}
 
-	if _, err := Sweep(Job{Name: "empty"}, Space{}, nil); err == nil ||
+	if _, err := sweepWith(nil, Job{Name: "empty"}, Space{}, nil); err == nil ||
 		!strings.Contains(err.Error(), "no ranks") {
 		t.Errorf("empty job error not descriptive: %v", err)
 	}

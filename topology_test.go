@@ -1,7 +1,5 @@
 package smtbalance
 
-//lint:file-ignore SA1019 the deprecated Run/Sweep wrappers and DynamicBalance knobs are exercised on purpose: these tests pin that the old spellings stay behavior-identical to their replacements
-
 import (
 	"math"
 	"strings"
@@ -56,7 +54,7 @@ func TestTopologyAccessors(t *testing.T) {
 // front with an error naming the topology, not deep in the simulator.
 func TestPinInOrderTooManyRanks(t *testing.T) {
 	// Run-time validation against the default topology.
-	_, err := Run(imbalancedJob(6, 1000, 2000), PinInOrder(6), &Options{NoOSNoise: true})
+	_, err := runWith(imbalancedJob(6, 1000, 2000), PinInOrder(6), &Options{NoOSNoise: true})
 	if err == nil {
 		t.Fatal("6 ranks on the 4-context default topology accepted")
 	}
@@ -90,7 +88,7 @@ func TestEightRankJobOnTwoChips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(job, pl, &Options{Topology: topo, NoOSNoise: true})
+	res, err := runWith(job, pl, &Options{Topology: topo, NoOSNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +113,7 @@ func TestEightRankJobOnTwoChips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := Run(job, bal, &Options{Topology: topo, NoOSNoise: true})
+	tuned, err := runWith(job, bal, &Options{Topology: topo, NoOSNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +167,7 @@ func TestParsePlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(imbalancedJob(4, 5000, 20000), pl2, &Options{NoOSNoise: true}); err != nil {
+	if _, err := runWith(imbalancedJob(4, 5000, 20000), pl2, &Options{NoOSNoise: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -181,10 +179,7 @@ func TestSweepOnTwoChips(t *testing.T) {
 	job := imbalancedJob(4, 4000, 16000)
 	sp := Space{Priorities: []Priority{PriorityMedium, PriorityHigh}}
 	run := func(workers int) *SweepResult {
-		res, err := Sweep(job, sp, &SweepOptions{
-			Workers: workers,
-			Run:     &Options{Topology: twoChips(), NoOSNoise: true},
-		})
+		res, err := sweepWith(&Options{Topology: twoChips(), NoOSNoise: true}, job, sp, &SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +258,7 @@ func TestDecodeShareInvariants(t *testing.T) {
 // specified Options.Topology: it must produce a descriptive error, not
 // a zero-context machine (or a divide-by-zero in the error path).
 func TestPartialTopologyRejected(t *testing.T) {
-	_, err := Run(imbalancedJob(2, 1000, 2000), PinInOrder(1), &Options{Topology: Topology{Chips: 2}})
+	_, err := runWith(imbalancedJob(2, 1000, 2000), PinInOrder(1), &Options{Topology: Topology{Chips: 2}})
 	if err == nil {
 		t.Fatal("partial topology {Chips: 2} accepted")
 	}
@@ -279,10 +274,7 @@ func TestPartialTopologyRejected(t *testing.T) {
 func TestFixPairingPinsCoresOnMultiChip(t *testing.T) {
 	job := imbalancedJob(4, 2000, 8000)
 	sp := Space{Priorities: []Priority{PriorityMedium, PriorityHigh}, FixPairing: true}
-	res, err := Sweep(job, sp, &SweepOptions{
-		Workers: 1,
-		Run:     &Options{Topology: twoChips(), NoOSNoise: true},
-	})
+	res, err := sweepWith(&Options{Topology: twoChips(), NoOSNoise: true}, job, sp, &SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
